@@ -32,7 +32,6 @@ CONFIGS = (
     # label -> measure_demux_throughput kwargs beyond the workload
     ("scan", {"engine": "compiled"}),
     ("table", {"engine": "compiled", "use_decision_table": True}),
-    ("fused", {"engine": "fused"}),
     ("ir", {"engine": "ir"}),
     ("ir+batch", {"engine": "ir", "batch": 64}),
 )

@@ -31,7 +31,7 @@ __all__ = [
     "profile_report",
 ]
 
-_ENGINES = ("checked", "prevalidated", "compiled", "fused", "ir")
+_ENGINES = ("checked", "prevalidated", "compiled", "ir")
 
 
 def classification_costs(

@@ -43,7 +43,7 @@ TITLES = {
     "ablation-write-batching": "Ablation — §7's write batching, measured",
     "section-3-bind-cost": "Section 3 — Filter binding cost",
     "perf-demux-throughput": (
-        "Perf — Demux throughput by engine (fused + flow cache)"
+        "Perf — Demux throughput by engine (IR + flow cache)"
     ),
     "perf-ruleset-scale": (
         "Perf — 5-tuple ACL ruleset scale (100 / 1000 / 10000 rules)"
@@ -142,13 +142,15 @@ def generate(results_path: str = RESULTS_PATH) -> str:
         lines.append("| quantity | paper | measured | meas/paper |")
         lines.append("|---|---:|---:|---:|")
         for row in entry["rows"]:
-            ratio = (
-                row["measured"] / row["paper"] if row["paper"] else float("nan")
-            )
             unit = f" {row['unit']}" if row.get("unit") else ""
+            if row["paper"]:
+                paper = f"{_number(row['paper'])}{unit}"
+                ratio = f"{row['measured'] / row['paper']:.2f}"
+            else:
+                paper = ratio = "—"  # no paper analogue
             lines.append(
-                f"| {row['label']} | {_number(row['paper'])}{unit} "
-                f"| {_number(row['measured'])}{unit} | {ratio:.2f} |"
+                f"| {row['label']} | {paper} "
+                f"| {_number(row['measured'])}{unit} | {ratio} |"
             )
         if entry.get("notes"):
             lines.append(f"\n*Note: {entry['notes']}*")

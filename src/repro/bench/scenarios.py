@@ -95,12 +95,11 @@ def measure_demux_throughput(
     docs/PERFORMANCE.md.  ``filters`` ports bind the kernel-profile
     filter shape ``(word 6 == ethertype) & (word 7 == index)``; traffic
     round-robins over the indices so the linear engines test half the
-    set per packet on average while the fused dispatch and the flow
+    set per packet on average while the IR dispatch and the flow
     cache resolve each packet in O(1).  ``batch`` > 0 delivers the
-    traffic through ``deliver_batch`` in bursts of that size (the IR
-    engine's batch-at-a-time evaluator).  ``programs``/``packets``
-    override the synthetic workload with a caller-supplied one (the
-    ruleset-scale benchmark's ACL sets).
+    traffic through ``deliver_batch`` in bursts of that size.
+    ``programs``/``packets`` override the synthetic workload with a
+    caller-supplied one (the ruleset-scale benchmark's ACL sets).
     """
     import time
 
@@ -166,7 +165,7 @@ def demux_label_kwargs(label: str) -> dict:
     """Map a recorded throughput-row label back onto
     :func:`measure_demux_throughput` keyword arguments.
 
-    Labels look like ``"fused+cache, 32 filters"``: an engine name with
+    Labels look like ``"ir+cache, 32 filters"``: an engine name with
     an optional ``+cache`` (flow cache on) or ``+batch`` (burst
     delivery) modifier.  Shared by the regression guards so a new row
     in the throughput bench never needs a second parser.

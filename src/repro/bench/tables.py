@@ -34,7 +34,8 @@ class Row:
 
 
 def render_table(title: str, rows: list[Row]) -> str:
-    """Uniform paper-vs-measured rendering."""
+    """Uniform paper-vs-measured rendering; a row with no paper value
+    shows ``—`` for the paper and ratio columns."""
     width = max(len(row.label) for row in rows)
     lines = [
         "",
@@ -42,9 +43,13 @@ def render_table(title: str, rows: list[Row]) -> str:
         f"{'':{width}}  {'paper':>10}  {'measured':>10}  {'meas/paper':>10}",
     ]
     for row in rows:
+        if row.paper:
+            paper, ratio = f"{row.paper:10.2f}", f"{row.ratio:10.2f}"
+        else:
+            paper = ratio = f"{'—':>10}"
         lines.append(
-            f"{row.label:{width}}  {row.paper:10.2f}  {row.measured:10.2f}"
-            f"  {row.ratio:10.2f}  {row.unit}"
+            f"{row.label:{width}}  {paper}  {row.measured:10.2f}"
+            f"  {ratio}  {row.unit}"
         )
     return "\n".join(lines)
 

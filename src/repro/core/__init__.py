@@ -17,7 +17,7 @@ Layered exactly as the paper describes it:
 from .compiler import And, Expr, Field, Or, Test, compile_expr, word
 from .decision import DecisionTable, necessary_equalities
 from .demux import DeliveryReport, Engine, PacketFilterDemux
-from .fused import FlowCache, FusedEntry, FusedFilterSet, fuse_filter_set
+from .flowcache import FlowCache
 from .instructions import (
     BinaryOp,
     EncodingError,
@@ -33,6 +33,7 @@ from .interpreter import (
     evaluate,
 )
 from .ioctl import DataLinkInfo, PFIoctl, PortStatus
+from .irgen import FusedEntry
 from .jit import CompiledFilter, compile_filter
 from .library import (
     ethertype_filter,
@@ -63,7 +64,7 @@ __all__ = [
     "validate", "ValidationError", "ValidationReport",
     "compile_filter", "CompiledFilter",
     "DecisionTable", "necessary_equalities",
-    "fuse_filter_set", "FusedFilterSet", "FusedEntry", "FlowCache",
+    "FusedEntry", "FlowCache",
     # compiler library
     "word", "compile_expr", "Field", "Test", "And", "Or", "Expr",
     # demux + ports

@@ -19,16 +19,15 @@ Responsibilities implemented here, straight from sections 3.2 and 4:
   ``0.8 mSec + 0.122 mSec × predicates`` and table 6-10;
 * engine selection — the baseline checked interpreter, the section 7
   prevalidated fast path, the compiled-closure "machine code" path, the
-  optional decision-table index over the whole filter set, the fused
+  optional decision-table index over the whole filter set, and the IR
   engine that compiles the entire set into one dispatch function
-  (:mod:`repro.core.fused`), and the IR engine that lowers the set
   through a real compiler middle-end — cross-filter CSE, dispatch-tree
-  predicate reordering, batch-at-a-time classification
-  (:mod:`repro.core.ir` / :mod:`repro.core.opt` /
+  predicate reordering (:mod:`repro.core.ir` / :mod:`repro.core.opt` /
   :mod:`repro.core.irgen`);
-* the opt-in **flow cache** (any engine): a direct-mapped memo of
-  classification results keyed by the packet's discriminating header
-  prefix, invalidated whenever the filter set or its order changes;
+* the opt-in **flow cache** (any engine, :mod:`repro.core.flowcache`):
+  a direct-mapped memo of classification results keyed by the packet's
+  discriminating header prefix, invalidated whenever the filter set or
+  its order changes;
 * batched delivery (:meth:`PacketFilterDemux.deliver_batch`) so the
   receive path can charge one dispatch overhead per burst — the
   section 6.4 batching argument applied to demultiplexing itself.
@@ -39,11 +38,12 @@ from __future__ import annotations
 import enum
 from bisect import insort
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .decision import DecisionTable
-from .fused import FlowCache, FusedEntry, FusedFilterSet, fuse_filter_set
-from .irgen import CompiledIRSet, IRStats, compile_ir_set
+from .flowcache import FlowCache
+from .irgen import CompiledIRSet, FusedEntry, IRStats, compile_ir_set
 from .interpreter import (
     LanguageLevel,
     ShortCircuitMode,
@@ -63,8 +63,7 @@ class Engine(enum.Enum):
     CHECKED = "checked"          #: section 4 interpreter, all runtime checks
     PREVALIDATED = "prevalidated"  #: section 7: checks hoisted to bind time
     COMPILED = "compiled"        #: section 7: filters lowered to closures
-    FUSED = "fused"              #: whole filter set fused into one dispatch
-    IR = "ir"                    #: set compiled through the SSA/DAG middle-end
+    IR = "ir"                    #: whole set compiled into one dispatch function
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ class _Binding:
     accepts: int = 0
     rank: int = 0
     """Current position in application order; reassigned after each
-    attach/detach/reorder so the decision table, the fused program and
+    attach/detach/reorder so the decision table, the IR program and
     the linear scan always agree on ordering."""
 
     @property
@@ -115,9 +114,9 @@ class PacketFilterDemux:
     received packet only visits filters whose necessary equality
     conditions it satisfies.  The table requires the default
     ``ShortCircuitMode.PUSH_RESULT`` semantics; with ``NO_PUSH`` the
-    demultiplexer silently stays on the linear scan.  ``Engine.FUSED``
+    demultiplexer silently stays on the linear scan.  ``Engine.IR``
     subsumes the table: the whole set compiles into one dispatch
-    function at bind time (under ``NO_PUSH`` it fuses without field
+    function at bind time (under ``NO_PUSH`` it compiles without field
     dispatch).
 
     ``flow_cache=True`` (or an explicit power-of-two size) memoizes
@@ -141,7 +140,7 @@ class PacketFilterDemux:
         reorder_same_priority: bool = True,
         flow_cache: bool | int = False,
     ) -> None:
-        # Accept the enum or its string value ("ir", "fused", ...):
+        # Accept the enum or its string value ("ir", "compiled", ...):
         # every engine check below is an identity test, so a raw string
         # would silently degrade to the checked-interpreter fallback.
         self.engine = engine if isinstance(engine, Engine) else Engine(engine)
@@ -165,7 +164,6 @@ class PacketFilterDemux:
         self._bindings: dict[int, _Binding] = {}  # port_id -> binding
         self._order: list[_Binding] = []          # application order
         self._table: DecisionTable | None = None
-        self._fused: FusedFilterSet | None = None
         self._ir: CompiledIRSet | None = None
         self._hot_classify = None
         self._reports: dict = {}
@@ -237,7 +235,7 @@ class PacketFilterDemux:
         """The single choke point for order mutations.
 
         Every attach, detach and reorder lands here, so the rank
-        assignment, the decision table, the fused dispatch function and
+        assignment, the decision table, the IR dispatch function and
         the flow cache can never disagree about the filter set: they
         all go stale together.  Construction of the derived artifacts
         — including rank assignment, which walks every binding — is
@@ -247,7 +245,6 @@ class PacketFilterDemux:
         ACL-scale SETFILTER storm is quadratic.
         """
         self._table = None
-        self._fused = None
         self._ir = None
         self._hot_classify = None
         self._stale = True
@@ -266,7 +263,7 @@ class PacketFilterDemux:
                 (binding, binding.program, (binding.rank,))
                 for binding in self._order
             )
-        if self.engine in (Engine.FUSED, Engine.IR):
+        if self.engine is Engine.IR:
             entries = [
                 FusedEntry(
                     rank=binding.rank,
@@ -276,16 +273,8 @@ class PacketFilterDemux:
                 )
                 for binding in self._order
             ]
-            if self.engine is Engine.FUSED:
-                self._fused = fuse_filter_set(
-                    entries, mode=self.mode, level=self.level
-                )
-                self._hot_classify = self._fused._function
-            else:
-                self._ir = compile_ir_set(
-                    entries, mode=self.mode, level=self.level
-                )
-                self._hot_classify = self._ir._function
+            self._ir = compile_ir_set(entries, mode=self.mode, level=self.level)
+            self._hot_classify = self._ir._function
         if self.flow_cache is not None:
             self._rekey_cache()
 
@@ -331,9 +320,9 @@ class PacketFilterDemux:
             key = bytes(packet[: self._cache_key_bytes])
             ranks = cache.lookup(key)
         if ranks is None:
-            # The compiled whole-set engines expose their generated
-            # function directly; calling it here skips two wrapper
-            # frames on the per-packet path.
+            # The IR engine exposes its generated function directly;
+            # calling it here skips two wrapper frames on the
+            # per-packet path.
             hot = self._hot_classify
             if hot is not None:
                 ranks, predicates = hot(packet)
@@ -353,20 +342,14 @@ class PacketFilterDemux:
         instructions: int,
         timestamp: float | None,
         packet_id: int | None,
-        *,
-        reorder: bool = True,
     ) -> DeliveryReport:
         """Queue an already-classified packet and account for it — the
-        non-memoizable tail of :meth:`deliver`, shared with the batch
-        path (which defers the reorder tick to the end of the burst so
-        classification and delivery order stay consistent batch-wide).
-        """
+        non-memoizable tail of :meth:`deliver`."""
         self.packets_seen += 1
         self.total_predicates_tested += predicates
         self._deliveries += 1
         tick = (
-            reorder
-            and self.reorder_same_priority
+            self.reorder_same_priority
             and self._deliveries % self.REORDER_INTERVAL == 0
         )
 
@@ -475,174 +458,25 @@ class PacketFilterDemux:
     ) -> list[DeliveryReport]:
         """Deliver a burst of packets in one call.
 
-        The per-packet contract (ordering, copy-all, accounting) is
-        identical to calling :meth:`deliver` in a loop; the point is
-        the caller's side — the device layer charges its fixed dispatch
+        Exactly :meth:`deliver` in a loop — ordering, copy-all,
+        accounting and the reorder tick are per packet.  The point is
+        the caller's side: the device layer charges its fixed dispatch
         overhead once per batch instead of once per packet, mirroring
         the section 6.4 batching argument on the read path.
-
-        Under :attr:`Engine.IR` the burst is classified batch-at-a-time
-        (``classify_batch``: the discriminating header word is
-        extracted for the whole burst up front — numpy-bulk when
-        available — then each packet takes one direct dispatch probe),
-        with one difference from the loop: the same-priority reorder
-        tick is deferred to the end of the burst, so every packet in it
-        is classified by the same compiled set.
         """
-        if self._stale:
-            self._refresh()
-        packets = list(packets)
-        if packet_ids is None:
-            packet_ids = [None] * len(packets)
-        if self.engine is not Engine.IR or self._ir is None:
-            deliver = self.deliver
-            return [
-                deliver(packet, timestamp, pid)
-                for packet, pid in zip(packets, packet_ids)
-            ]
-
-        cache = self.flow_cache
-        usable = cache is not None and self._cache_usable
-        results: list[tuple[Sequence[int], int] | None] = [None] * len(packets)
-        if usable:
-            keys = [bytes(p[: self._cache_key_bytes]) for p in packets]
-            # Replay the scalar loop's cache schedule exactly: packet
-            # i's lookup must see the cache as it stands after every
-            # store from packets < i of the same burst.  (An earlier
-            # version did all lookups before any store, so a pre-cached
-            # entry evicted by an earlier in-burst colliding store
-            # still counted as a hit — hit/miss parity with deliver()
-            # drifted; pinned by tests/difftest/test_flowcache_parity.)
-            # In-burst stores are simulated as a slot overlay so the
-            # missing keys can still be classified in one
-            # classify_batch call; the real stores are applied
-            # afterwards in scalar order.
-            overlay: dict[int, bytes] = {}  # slot -> key last "stored"
-            need: dict[bytes, int] = {}     # missing key -> first index
-            pend_hit: list[int] = []        # resolve with 0 predicates
-            pend_miss: list[int] = []       # resolve with full predicates
-            store_order: list[int] = []     # miss indices, packet order
-            hits = misses = 0
-            for i, key in enumerate(keys):
-                slot = cache.slot(key)
-                burst_key = overlay.get(slot)
-                if burst_key is not None:
-                    hit = burst_key == key
-                    ranks = None
-                else:
-                    ranks = cache.peek(key)
-                    hit = ranks is not None
-                if hit:
-                    hits += 1
-                    if ranks is not None:
-                        results[i] = (ranks, 0)
-                    else:
-                        pend_hit.append(i)
-                else:
-                    misses += 1
-                    need.setdefault(key, i)
-                    overlay[slot] = key
-                    store_order.append(i)
-                    pend_miss.append(i)
-            classified = self._ir.classify_batch(
-                [packets[i] for i in need.values()]
-            )
-            by_key = dict(zip(need, classified))
-            cache.hits += hits
-            cache.misses += misses
-            for i in store_order:
-                cache.store(keys[i], tuple(by_key[keys[i]][0]))
-            for i in pend_miss:
-                results[i] = by_key[keys[i]]
-            for i in pend_hit:
-                results[i] = (by_key[keys[i]][0], 0)
-        else:
-            for i, outcome in enumerate(self._ir.classify_batch(packets)):
-                results[i] = outcome
-
-        start = self._deliveries
-        # Inlined single-accept tail: same accounting and caching as
-        # :meth:`_finish`'s fast path, minus one Python call frame per
-        # packet — the difference between the batch evaluator beating
-        # the scalar loop and merely matching it.  Anything but the
-        # plain one-filter case falls back to :meth:`_finish`;
-        # equivalence with the deliver() loop is pinned by the
-        # property suite and tests/sim/test_batched_input.py.
-        order = self._order
-        report_cache = self._reports
-        finish = self._finish
-        reports: list[DeliveryReport] = []
-        append = reports.append
-        for packet, pid, (ranks, predicates) in zip(
-            packets, packet_ids, results
-        ):
-            if len(ranks) != 1:
-                append(
-                    finish(
-                        packet, ranks, predicates, 0, timestamp, pid,
-                        reorder=False,
-                    )
-                )
-                continue
-            binding = order[ranks[0]]
-            port = binding.port
-            binding.accepts += 1
-            self.packets_seen += 1
-            self.total_predicates_tested += predicates
-            self._deliveries += 1
-            if port.enqueue(packet, timestamp, pid):
-                key = (port.port_id, predicates, 0)
-            elif getattr(port, "last_drop_cause", None) == "nobuf":
-                self.packets_unclaimed += 1
-                key = (port.port_id, predicates, 0, "nobuf")
-            else:
-                key = (port.port_id, predicates, 0, "overflow")
-            report = report_cache.get(key)
-            if report is None:
-                if len(key) == 3:
-                    report = DeliveryReport(
-                        accepted_by=(port.port_id,),
-                        predicates_tested=predicates,
-                    )
-                elif key[3] == "nobuf":
-                    report = DeliveryReport(
-                        nobuf_by=(port.port_id,),
-                        predicates_tested=predicates,
-                    )
-                else:
-                    report = DeliveryReport(
-                        dropped_by=(port.port_id,),
-                        predicates_tested=predicates,
-                    )
-                if len(report_cache) < 4096:
-                    report_cache[key] = report
-            append(report)
-        if (
-            self.reorder_same_priority
-            and self._deliveries // self.REORDER_INTERVAL
-            != start // self.REORDER_INTERVAL
-        ):
-            self._reorder()
-        return reports
+        deliver = self.deliver
+        ids = repeat(None) if packet_ids is None else packet_ids
+        return [
+            deliver(packet, timestamp, pid) for packet, pid in zip(packets, ids)
+        ]
 
     def _classify(self, packet: bytes) -> tuple[Sequence[int], int, int]:
         """Which bindings accept ``packet``, and what it cost to learn.
 
         Returns ``(ranks, predicates, instructions)`` with ranks in
-        delivery order — the memoizable core of :meth:`deliver`,
-        independent of queueing."""
-        if self._stale:
-            self._refresh()
-        if self.engine is Engine.FUSED:
-            assert self._fused is not None
-            ranks, predicates = self._fused.classify(packet)
-            return ranks, predicates, 0
-
-        if self.engine is Engine.IR:
-            assert self._ir is not None
-            ranks, predicates = self._ir.classify(packet)
-            return ranks, predicates, 0
-
+        delivery order — the memoizable core of :meth:`deliver` for the
+        per-filter engines, independent of queueing (the IR engine's
+        generated function answers the same question in one call)."""
         if self._table is not None:
             scan: Iterable[_Binding] = (
                 entry.handle for entry in self._table.entries_for(packet)

@@ -2,8 +2,8 @@
 
 The section 7 conjecture — "it might be possible to compile the set of
 active filters into a decision table, which should provide the best
-possible performance" — needs a real compiler middle-end to go past the
-chain concatenation of :mod:`repro.core.fused`: something that can see
+possible performance" — needs a real compiler middle-end to go past
+plain chain concatenation of filter bodies: something that can see
 that thirty bound filters all load the same Ethernet-type word, fold
 their shared subexpressions, and reorder their predicates.  Stack
 programs are a poor substrate for that, so this module lifts validated
@@ -272,8 +272,7 @@ class Bound:
 
     Emitted exactly where the stack program's ``PUSHWORD`` would fault,
     so a filter that can accept *before* touching a deep word is never
-    pre-rejected on that word's account (the same discipline
-    :func:`repro.core.jit.emit_filter_body` always had)."""
+    pre-rejected on that word's account."""
 
     min_bytes: int
 

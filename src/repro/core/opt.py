@@ -202,8 +202,7 @@ class DispatchTree:
     bucket (or too short for the field).  Leaves carry the ``entries``
     to evaluate in application order.  Entries the analysis could not
     bucket at a node are merged *into every bucket subtree* (and form
-    the fallback), preserving total order — the same discipline the
-    fused engine uses at depth one.
+    the fallback), preserving total order.
     """
 
     discriminant: tuple[int, int] | None

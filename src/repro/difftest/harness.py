@@ -20,14 +20,9 @@ configuration under test:
 Batch configurations flush their pending burst before any non-packet
 event, so mutations land between the same two packets in every
 configuration; within an uninterrupted packet run, bursts are cut at
-``config.batch`` packets.
-
-The one *intended* behavioral difference in the whole matrix is the
-same-priority reorder tick: ``deliver_batch`` under the IR engine
-defers it to the end of the burst (documented in
-:meth:`repro.core.demux.PacketFilterDemux.deliver_batch`), so reorder
-is disabled by default and scenario code that enables it excludes the
-IR batch configuration (:func:`full_matrix` with ``reorder=True``).
+``config.batch`` packets.  Same-priority reordering is off unless
+``reorder=True``; with it on, every configuration must still agree,
+since ``deliver_batch`` is the scalar loop under every engine.
 
 Comparison rules (:func:`run_matrix`):
 
@@ -101,16 +96,11 @@ def full_matrix(
     cache_sizes: Sequence[int] = (0, 64),
     tables: Sequence[bool] = (False, True),
     batches: Sequence[int] = (0, 32),
-    reorder: bool = False,
 ) -> tuple[MatrixConfig, ...]:
     """Every engine × cache × table × delivery-path combination.
 
     The first configuration returned is always the baseline (checked
-    interpreter, nothing else enabled) when it is in the product.  With
-    ``reorder=True`` the IR batch configurations are omitted — batch
-    delivery defers the reorder tick to burst end by design, so under
-    live reordering they are *specified* to disagree with the scalar
-    loop about same-priority winners.
+    interpreter, nothing else enabled) when it is in the product.
     """
     configs = [
         MatrixConfig(
@@ -123,7 +113,6 @@ def full_matrix(
         for cache in cache_sizes
         for table in tables
         for batch in batches
-        if not (reorder and engine is Engine.IR and batch)
     ]
     baseline = MatrixConfig(engine=Engine.CHECKED)
     configs.sort(key=lambda c: (c != baseline, c.label))

@@ -5,17 +5,16 @@ Each builder returns a flat event stream (see
 surface:
 
 * :func:`churn_stream` — mid-stream SETFILTER attach/detach toggles and
-  copy-all flips, so every derived artifact (decision table, fused
-  dispatch, IR set, flow cache, rank assignment) is repeatedly torn
-  down and rebuilt while packets are in flight;
+  copy-all flips, so every derived artifact (decision table, IR set,
+  flow cache, rank assignment) is repeatedly torn down and rebuilt
+  while packets are in flight;
 * :func:`collision_flood` — packets reordered so consecutive distinct
   flows index the *same* direct-mapped flow-cache slot, maximizing
-  evictions (the exact shape that exposed the batch-path hit/miss
-  drift);
+  evictions;
 * :func:`truncation_stream` — frames cut at every interesting boundary
   (inside the flow-cache key, at ``min_packet_bytes`` ± 1, odd lengths
   that exercise the zero-padded tail word), where the checked
-  interpreter's bounds handling and the prevalidated/compiled/fused/IR
+  interpreter's bounds handling and the prevalidated/compiled/IR
   engines' hoisted pre-checks must still agree packet for packet;
 * :func:`with_drains` — periodic full queue drains so overflow
   outcomes keep toggling instead of saturating.

@@ -62,8 +62,10 @@ def span_fingerprint(result) -> list[str]:
     Span ids are globally unique after the merge and the merge order is
     deterministic, so the same packet gets the same id on any shard
     count; sorting by id makes the listing canonical without relying on
-    dict order.
+    dict order.  A ledger-off run recorded no spans.
     """
+    if result.ledger is None:
+        return []
     lines = []
     for packet_id in sorted(result.ledger.spans):
         span = result.ledger.spans[packet_id]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench.tables import Row, record_rows, within_factor
+from repro.bench.tables import Row, record_rows, render_table, within_factor
 from repro.bench import report
 
 
@@ -67,6 +67,27 @@ class TestReportGeneration:
         assert "| pf 128B | 1.9 ms | 1.94 ms | 1.02 |" in output
         assert "a note" in output
         assert "custom-extra" in output  # unknown keys still rendered
+
+    def test_row_without_paper_value_renders_a_dash(self, tmp_path):
+        results = tmp_path / "results.json"
+        results.write_text(json.dumps({
+            "perf-demux-throughput": {
+                "rows": [
+                    {"label": "ir, 32 filters", "paper": 0.0,
+                     "measured": 846000.0, "unit": "pkts/sec"},
+                ],
+                "notes": "",
+            },
+        }))
+        output = report.generate(str(results))
+        assert "| ir, 32 filters | — | 846000 pkts/sec | — |" in output
+        assert "nan" not in output
+
+        table = render_table("demo", [Row("ir", 0.0, 2.5, "pkts/sec")])
+        assert table.splitlines()[-1].split() == [
+            "ir", "—", "2.50", "—", "pkts/sec",
+        ]
+        assert "nan" not in table
 
     def test_missing_file_is_a_clear_error(self, tmp_path):
         with pytest.raises(SystemExit, match="benchmark"):

@@ -13,7 +13,6 @@ from repro.core.compiler import compile_expr, word
 from repro.core.demux import Engine, PacketFilterDemux
 from repro.core.interpreter import LanguageLevel, ShortCircuitMode, evaluate
 from repro.core.ir import (
-    CONST,
     LOAD,
     Anchor,
     Bound,
@@ -21,8 +20,7 @@ from repro.core.ir import (
     ValueGraph,
     lower_program,
 )
-from repro.core.irgen import compile_ir_set
-from repro.core.fused import FusedEntry
+from repro.core.irgen import FusedEntry, compile_ir_set
 from repro.core.opt import (
     build_dispatch_tree,
     cse_filter_set,
@@ -42,12 +40,12 @@ def lower(program, mode=ShortCircuitMode.PUSH_RESULT, graph=None):
     return lower_program(program, validate(program, mode=mode), mode, graph=graph)
 
 
-def entry(rank, program):
+def entry(rank, program, *, copy_all=False):
     return FusedEntry(
         rank=rank,
         program=program,
         report=validate(program),
-        copy_all=False,
+        copy_all=copy_all,
     )
 
 
@@ -301,7 +299,7 @@ class TestDispatchTree:
 
 
 # ---------------------------------------------------------------------------
-# The compiled set: scalar/batch agreement, numpy-free fallback
+# The compiled set: whole-set classification edge cases
 # ---------------------------------------------------------------------------
 
 
@@ -326,19 +324,6 @@ class TestCompiledIRSet:
         assert stats.nodes_after_cse < stats.nodes_before_cse
         assert stats.dispatch_depth >= 1
 
-    def test_batch_matches_scalar(self):
-        compiled = build_set()
-        scalar = [compiled.classify(p) for p in PACKETS]
-        assert compiled.classify_batch(PACKETS) == scalar
-
-    def test_batch_matches_scalar_without_numpy(self, monkeypatch):
-        import repro.core.irgen as irgen
-
-        monkeypatch.setattr(irgen, "_np", None)
-        compiled = build_set()
-        scalar = [compiled.classify(p) for p in PACKETS]
-        assert compiled.classify_batch(PACKETS) == scalar
-
     def test_classification_agrees_with_interpreter(self):
         programs = [
             compile_expr((word(6) == 0x0900) & (word(7) == i))
@@ -355,6 +340,148 @@ class TestCompiledIRSet:
                 if evaluate(p, packet, checked=True)
             )
             assert ranks == expected
+
+
+def compile_exprs(*exprs, copy_all=(), mode=ShortCircuitMode.PUSH_RESULT):
+    return compile_ir_set(
+        [
+            entry(rank, compile_expr(expr), copy_all=rank in copy_all)
+            for rank, expr in enumerate(exprs)
+        ],
+        mode=mode,
+    )
+
+
+ETHERTYPE = [0, 0, 0, 0, 0, 0]  #: words 0-5; word 6 is the Ethernet type
+
+
+class TestWholeSet:
+    """What the generated dispatch function must do at the edges."""
+
+    def test_empty_set(self):
+        assert compile_ir_set([]).classify(pack_words([1, 2, 3])) == ((), 0)
+
+    def test_dispatches_on_shared_field(self):
+        compiled = compile_exprs(
+            word(6) == 0x0900, word(6) == 0x0901, word(6) == 0x0902
+        )
+        assert compiled.discriminant == (6, 0xFFFF)
+        ranks, predicates = compiled.classify(pack_words(ETHERTYPE + [0x0901, 0]))
+        assert tuple(ranks) == (1,)
+        # Dispatch went straight to filter 1's bucket: one body entered.
+        assert predicates == 1
+
+    def test_miss_value_reaches_no_filter(self):
+        compiled = compile_exprs(word(6) == 0x0900, word(6) == 0x0901)
+        packet = pack_words(ETHERTYPE + [0x7777, 0])
+        assert compiled.classify(packet) == ((), 0)  # no chain for that value
+
+    def test_single_shared_value_still_dispatches(self):
+        # Both filters need word 6 == 0x0900: the map has one chain,
+        # but every other ethertype resolves with zero bodies entered.
+        compiled = compile_exprs(word(6) == 0x0900, word(6) == 0x0900)
+        assert compiled.discriminant == (6, 0xFFFF)
+        assert compiled.classify(pack_words(ETHERTYPE + [0x0800, 0])) == ((), 0)
+
+    def test_unbucketed_filters_merge_in_rank_order(self):
+        compiled = compile_exprs(
+            word(6) == 0x0900,
+            word(0) < 5,           # inequality: no necessary value
+        )
+        ranks, _ = compiled.classify(pack_words([1, 0, 0, 0, 0, 0, 0x0900, 0]))
+        assert tuple(ranks) == (0,)       # rank 0 wins, first-match
+        ranks, _ = compiled.classify(pack_words([1, 0, 0, 0, 0, 0, 0x0500, 0]))
+        assert tuple(ranks) == (1,)       # the unbucketed filter catches it
+
+    def test_copy_all_continues_past_accept(self):
+        compiled = compile_exprs(
+            word(6) == 0x0900, word(6) == 0x0900, word(6) == 0x0900,
+            copy_all={0},
+        )
+        ranks, predicates = compiled.classify(pack_words(ETHERTYPE + [0x0900, 0]))
+        assert tuple(ranks) == (0, 1)     # copy-all then first non-copy-all
+        assert predicates == 2
+
+    def test_short_packet_takes_fallback_path(self):
+        compiled = compile_exprs(word(6) == 0x0900, word(6) == 0x0901)
+        assert compiled.discriminant is not None
+        # Word 6 is entirely beyond a 4-byte packet: both filters would
+        # fault their necessary PUSHWORD, so nothing matches.
+        ranks, _ = compiled.classify(b"\x01\x02\x03\x04")
+        assert tuple(ranks) == ()
+
+    def test_odd_tail_byte_is_zero_padded(self):
+        compiled = compile_exprs(word(6) == 0x0900, word(6) == 0x0A00)
+        packet = pack_words(ETHERTYPE)[:12] + b"\x0a"  # 13 bytes
+        ranks, _ = compiled.classify(packet)
+        assert tuple(ranks) == (1,)       # word 6 reads as 0x0A00
+
+    def test_no_push_mode_compiles_one_chain(self):
+        compiled = compile_exprs(
+            word(6) == 0x0900, word(6) == 0x0901,
+            mode=ShortCircuitMode.NO_PUSH,
+        )
+        assert compiled.discriminant is None
+        assert compiled.stats.chains == 1
+        packet = pack_words(ETHERTYPE + [0x0901, 0])
+        assert tuple(compiled.classify(packet)[0]) == (1,)
+
+    def test_source_is_kept_for_inspection(self):
+        compiled = compile_exprs(word(6) == 0x0900, word(6) == 0x0901)
+        assert "_dsp_0_MAP" in compiled.source
+        assert "def _classify(packet):" in compiled.source
+
+
+# ---------------------------------------------------------------------------
+# Engine.IR end to end through the demultiplexer
+# ---------------------------------------------------------------------------
+
+
+class TestIREngineEndToEnd:
+    def test_predicate_accounting_feeds_mean(self):
+        demux = PacketFilterDemux(engine=Engine.IR)
+        for index, value in enumerate((0x0900, 0x0901, 0x0902)):
+            port = Port(index, queue_limit=100)
+            port.bind_filter(compile_expr(word(6) == value))
+            demux.attach(port)
+        report = demux.deliver(pack_words(ETHERTYPE + [0x0902, 0]))
+        assert report.predicates_tested == 1   # dispatch skipped the rest
+        assert demux.mean_predicates_tested == 1.0
+
+    def test_cache_hit_reports_zero_work(self):
+        demux = PacketFilterDemux(engine=Engine.IR, flow_cache=True)
+        port = Port(0, queue_limit=100)
+        port.bind_filter(compile_expr(word(6) == 0x0900))
+        demux.attach(port)
+        packet = pack_words(ETHERTYPE + [0x0900, 0])
+        cold = demux.deliver(packet)
+        hot = demux.deliver(packet)
+        assert cold.predicates_tested == 1
+        assert hot.predicates_tested == 0
+        assert hot.instructions_executed == 0
+        assert hot.accepted_by == (0,)
+
+    def test_deliver_batch_matches_loop(self):
+        specs = [(0x0900, False), (0x0901, True), (0x0901, False)]
+        packets = [
+            pack_words(ETHERTYPE + [value, n])
+            for n, value in enumerate((0x0900, 0x0901, 0x7777, 0x0901))
+        ]
+
+        def fresh():
+            demux = PacketFilterDemux(engine=Engine.IR)
+            for index, (value, copy_all) in enumerate(specs):
+                port = Port(index, queue_limit=100)
+                port.copy_all = copy_all
+                port.bind_filter(compile_expr(word(6) == value))
+                demux.attach(port)
+            return demux
+
+        batched = fresh().deliver_batch(packets)
+        looped = [fresh().deliver(packet) for packet in packets]
+        assert [r.accepted_by for r in batched] == [
+            r.accepted_by for r in looped
+        ]
 
 
 # ---------------------------------------------------------------------------

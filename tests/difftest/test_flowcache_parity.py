@@ -6,9 +6,9 @@ Two regressions pinned here:
   salted ``hash()``) — otherwise collision and eviction patterns, and
   with them the hit/miss counters every cost model reads, differ
   between identically-seeded runs under different ``PYTHONHASHSEED``;
-* ``deliver_batch`` must replay the scalar loop's cache schedule
-  exactly: an early version did all lookups before any store, so a
-  pre-cached entry evicted by an earlier in-burst colliding store
+* ``deliver_batch`` must leave the cache exactly as the scalar loop
+  does: an earlier batch classifier did all lookups before any store,
+  so a pre-cached entry evicted by an earlier in-burst colliding store
   still counted as a hit and the batch path's hit/miss counters
   drifted from ``deliver()``'s.
 """
@@ -19,7 +19,7 @@ from zlib import crc32
 
 from repro.core.compiler import compile_expr, word
 from repro.core.demux import Engine, PacketFilterDemux
-from repro.core.fused import FlowCache
+from repro.core.flowcache import FlowCache
 from repro.core.port import Port
 from repro.core.words import pack_words
 
@@ -128,7 +128,7 @@ def test_flowcache_stats_identical_across_hashseeds(hashseed_outputs):
     final cache contents.  Fails if slot placement ever goes back to
     the salted ``hash()``."""
     script = """
-from repro.core.fused import FlowCache
+from repro.core.flowcache import FlowCache
 
 cache = FlowCache(16)
 keys = [bytes([i % 23, (i * 13) % 251]) for i in range(400)]

@@ -1,7 +1,7 @@
 """The firewall-scale differential sweep (``pytest -m difftest``).
 
 Every test replays one generated workload through the full engine ×
-flow-cache × decision-table × delivery-path matrix (forty
+flow-cache × decision-table × delivery-path matrix (thirty-two
 configurations) and asserts zero divergences: identical per-packet
 accept/drop/nobuf outcomes, reconciled lifetime counters, and
 identical flow-cache statistics across engines and delivery paths.
@@ -73,14 +73,14 @@ def test_structured_scale(size, count, seed):
         oracle=size <= 100,
     )
     assert report.ok, report.summary()
-    assert len(report.results) == 40
+    assert len(report.results) == 32
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_churn_matrix(seed):
     """Mid-stream SETFILTER churn, copy-all flips and drains at 100
-    rules: every mutation tears down the decision table, the fused and
-    IR sets, the rank assignment and the flow cache — all forty
+    rules: every mutation tears down the decision table, the IR set,
+    the rank assignment and the flow cache — all thirty-two
     configurations must rebuild into agreement."""
     programs, tuples = generate_ruleset(100, seed=seed)
     packets = traffic_for(tuples, count=192, seed=seed + 200)
@@ -98,7 +98,7 @@ def test_churn_matrix(seed):
 
 def test_churn_matrix_at_1000():
     """One churn leg at 1000 rules — each toggle forces a whole-set
-    recompile for the fused/IR configurations, so the cadence is kept
+    recompile for the IR configurations, so the cadence is kept
     low to bound compile time."""
     programs, tuples = generate_ruleset(1000, seed=0)
     packets = traffic_for(tuples, count=96, seed=300, spread=True)
@@ -184,16 +184,20 @@ def test_pool_exhaustion_matrix():
 
 
 def test_reorder_matrix():
-    """Live same-priority reordering at 100 rules (IR batch excluded
-    by contract): reorder ticks, the cache invalidations they trigger,
-    and the resulting rank shuffles must match across the rest."""
+    """Live same-priority reordering at 100 rules: reorder ticks, the
+    cache invalidations they trigger, and the resulting rank shuffles
+    must match across all thirty-two configurations, the IR batch ones
+    included."""
     programs, tuples = generate_ruleset(100, seed=2)
     packets = traffic_for(tuples, count=192, seed=900)
+    configs = full_matrix()
+    assert any(c.engine.value == "ir" and c.batch for c in configs)
     report = run_matrix(
         programs,
         packets_only(packets),
-        full_matrix(reorder=True),
+        configs,
         reorder=True,
         reorder_interval=16,
     )
     assert report.ok, report.summary()
+    assert len(report.results) == 32

@@ -7,6 +7,8 @@ under different ``PYTHONHASHSEED`` values — partitioning and hash
 salting may change wall-clock time and nothing else.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.bench.scenarios import run_flow_storm
@@ -16,6 +18,7 @@ from repro.difftest.sharding import (
     run_digest,
     stats_digest,
 )
+from repro.sim.ledger import Ledger
 
 #: Small enough for tier-1, busy enough to cross the bridge both ways.
 SMOKE = dict(segments=2, duration=0.1, flows=64, cache_size=16, seed=3)
@@ -42,6 +45,13 @@ class TestShardOracleSmoke:
         assert stats_digest(one["result"]) == stats_digest(two["result"])
         assert outcome_digest(one["result"]) == outcome_digest(two["result"])
         assert run_digest(one["result"]) == run_digest(two["result"])
+
+    def test_ledger_off_run_digests_as_an_empty_ledger(self):
+        result = run_flow_storm(shards=1, ledger=False, **SMOKE)["result"]
+        assert result.ledger is None
+        assert run_digest(result) == run_digest(
+            dataclasses.replace(result, ledger=Ledger())
+        )
 
     def test_storm_actually_thrashes_the_cache(self):
         # The workload's premise: more flows than cache slots means the

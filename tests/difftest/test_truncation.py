@@ -1,7 +1,7 @@
 """Truncated and short frames through every engine, scalar and batch.
 
 The checked interpreter discovers an out-of-bounds word at evaluation
-time and rejects; the prevalidated/compiled/fused/IR engines reject via
+time and rejects; the prevalidated/compiled/IR engines reject via
 the hoisted ``min_packet_bytes`` pre-check.  Those mechanisms are
 entirely different code — this suite pins that they cannot be told
 apart at any frame length: shorter than the flow-cache key, shorter

@@ -29,7 +29,7 @@ from repro.sim.ledger import (
 TYPE = 0x0900
 STRAY_TYPE = 0x0801   # no handler, no filter: goes unclaimed
 
-ENGINES = [Engine.CHECKED, Engine.PREVALIDATED, Engine.COMPILED, Engine.FUSED]
+ENGINES = [Engine.CHECKED, Engine.PREVALIDATED, Engine.COMPILED, Engine.IR]
 
 
 # ---------------------------------------------------------------------------

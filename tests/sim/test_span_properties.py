@@ -25,7 +25,7 @@ from repro.sim.ledger import SPAN_OUTCOMES, STAGE_WIRE_ARRIVAL
 
 TYPE = 0x0900
 
-ENGINES = [Engine.CHECKED, Engine.PREVALIDATED, Engine.COMPILED, Engine.FUSED]
+ENGINES = [Engine.CHECKED, Engine.PREVALIDATED, Engine.COMPILED, Engine.IR]
 
 
 def run_workload(seed, frames, rx_batch, engine, queue_limit, chaos_on):
