@@ -24,6 +24,10 @@ This module is that driver, for the simulated kernel:
   and charges the cost model for exactly the work done (per-filter
   dispatch, per-instruction interpretation, per-packet bookkeeping,
   the 70 µs ``microtime`` when timestamping is on).
+  :meth:`PacketFilterDevice.packets_arrived` is the same hook for a
+  burst: one dispatch charge and one notification per port, with each
+  packet's own charges and drops accounted by the same helper.  Only a
+  port that queued a packet is woken or signalled.
 """
 
 from __future__ import annotations
@@ -229,20 +233,69 @@ class PacketFilterDevice(DeviceDriver):
     ) -> bool:
         """NIC linkage hook: demultiplex one received frame.
 
-        Returns True when some port accepted it (the kernel uses this
-        to decide whether the frame went unclaimed).
+        Returns True when some filter accepted it, queued or dropped
+        (the kernel uses this to decide whether the frame went
+        unclaimed).
         """
         self.packets_processed += 1
         kernel = self.kernel
-        ledger = kernel.ledger
         now = kernel.scheduler.now
         report = self.demux.deliver(frame, timestamp=now, packet_id=packet_id)
-
-        costs = kernel.costs
         kernel.account(
-            Primitive.PF_FIXED, costs.pf_fixed, component="pf",
+            Primitive.PF_FIXED, kernel.costs.pf_fixed, component="pf",
             packet_id=packet_id,
         )
+        accepted = self._account(report, packet_id, now)
+        if report.accepted_by:
+            self._wake(report.accepted_by, ((report, packet_id),))
+        return accepted
+
+    def packets_arrived(
+        self,
+        nic,
+        frames: list[bytes],
+        packet_ids: list[int | None] | None = None,
+    ) -> list[bool]:
+        """Batched NIC linkage hook: demultiplex a burst in one call.
+
+        Per-packet work and fates are those of :meth:`packet_arrived`,
+        but the fixed dispatch overhead (``pf_fixed``) is charged once
+        for the burst and reader wakeups, signals and select()
+        readiness are coalesced to one notification per port — the
+        section 6.4 batching argument applied to the receive path.
+        Returns one accepted-flag per frame.
+        """
+        if not frames:
+            return []
+        self.packets_processed += len(frames)
+        kernel = self.kernel
+        now = kernel.scheduler.now
+        if packet_ids is None:
+            packet_ids = [None] * len(frames)
+        reports = self.demux.deliver_batch(
+            frames, timestamp=now, packet_ids=packet_ids
+        )
+        kernel.account(Primitive.PF_FIXED, kernel.costs.pf_fixed, component="pf")
+        accepted_flags: list[bool] = []
+        accepting: dict[int, None] = {}  # port ids, first-accept order
+        for report, pid in zip(reports, packet_ids):
+            accepted_flags.append(self._account(report, pid, now))
+            for port_id in report.accepted_by:
+                accepting[port_id] = None
+        if accepting:
+            self._wake(accepting, zip(reports, packet_ids))
+        return accepted_flags
+
+    def _account(self, report, packet_id: int | None, now: float) -> bool:
+        """Charge one demultiplexed packet's own work — filter
+        predicates and instructions, ``microtime`` per timestamping
+        port, overflow and no-buffer drops — and record its span
+        stages, closing the span when every accepting port dropped it.
+        Returns whether any filter accepted it."""
+        kernel = self.kernel
+        costs = kernel.costs
+        ledger = kernel.ledger
+        traced = ledger is not None and packet_id is not None
         if report.predicates_tested:
             kernel.account(
                 Primitive.FILTER_PREDICATE,
@@ -259,7 +312,7 @@ class PacketFilterDevice(DeviceDriver):
                 component="pf",
                 packet_id=packet_id,
             )
-        if ledger is not None and packet_id is not None:
+        if traced:
             ledger.stage(packet_id, STAGE_FILTER_EVAL, now)
         for port_id in report.accepted_by:
             if self._handles[port_id].port.timestamping:
@@ -267,9 +320,8 @@ class PacketFilterDevice(DeviceDriver):
                     Primitive.MICROTIME, costs.microtime, component="pf",
                     packet_id=packet_id,
                 )
-        if ledger is not None and packet_id is not None:
-            if report.accepted_by:
-                ledger.stage(packet_id, STAGE_ENQUEUE, now)
+        if traced and report.accepted_by:
+            ledger.stage(packet_id, STAGE_ENQUEUE, now)
         self.packets_dropped_overflow += len(report.dropped_by)
         for port_id in report.dropped_by:
             kernel.account(
@@ -282,8 +334,7 @@ class PacketFilterDevice(DeviceDriver):
                 packet_id=packet_id, flow=port_id,
             )
         if (
-            ledger is not None
-            and packet_id is not None
+            traced
             and (report.dropped_by or report.nobuf_by)
             and not report.accepted_by
         ):
@@ -291,125 +342,39 @@ class PacketFilterDevice(DeviceDriver):
                 "dropped_overflow" if report.dropped_by else "dropped_nobuf"
             )
             ledger.close_packet(packet_id, outcome, now)
+        accepted = report.accepted
+        if accepted:
+            self.packets_accepted += 1
+        return accepted
 
-        if not report.accepted:
-            return False
-        self.packets_accepted += 1
-        woke = False
-        for port_id in report.accepted_by:
+    def _wake(self, port_ids, arrivals) -> None:
+        """Notify ports that queued packets, once each: wake blocked
+        readers, post the SETSIGNAL signal, stamp the wakeup stage of
+        every ``(report, packet_id)`` arrival that reached a woken
+        reader, and let select()ors rescan.
+
+        Only acceptance wakes: a drop never makes a port readable, and
+        a select() on an already-readable fd completes at call time, so
+        a drop-only packet has no one to notify.
+        """
+        kernel = self.kernel
+        woken = []
+        for port_id in port_ids:
             handle = self._handles[port_id]
             if len(handle.readers):
-                woke = True
+                woken.append(port_id)
             handle.readers.wake_all()
             if handle.port.signal is not None:
                 kernel.post_signal(handle.owner, handle.port.signal)
-        if woke and ledger is not None and packet_id is not None:
-            ledger.stage(packet_id, STAGE_WAKEUP, kernel.scheduler.now)
-        kernel.readiness_changed()
-        return True
-
-    def packets_arrived(
-        self,
-        nic,
-        frames: list[bytes],
-        packet_ids: list[int | None] | None = None,
-    ) -> list[bool]:
-        """Batched NIC linkage hook: demultiplex a burst in one call.
-
-        Per-packet delivery semantics match ``len(frames)`` calls of
-        :meth:`packet_arrived`, but the fixed dispatch overhead
-        (``pf_fixed``) is charged once for the burst and reader wakeups,
-        signals and select() readiness are coalesced to one notification
-        per port — the section 6.4 batching argument applied to the
-        receive path.  Returns one accepted-flag per frame.
-        """
-        if not frames:
-            return []
-        self.packets_processed += len(frames)
-        kernel = self.kernel
         ledger = kernel.ledger
-        now = kernel.scheduler.now
-        if packet_ids is None:
-            packet_ids = [None] * len(frames)
-        reports = self.demux.deliver_batch(
-            frames, timestamp=now, packet_ids=packet_ids
-        )
-
-        costs = kernel.costs
-        kernel.account(Primitive.PF_FIXED, costs.pf_fixed, component="pf")
-        notify: dict[int, "PacketFilterHandle"] = {}
-        accepted_flags: list[bool] = []
-        for report, pid in zip(reports, packet_ids):
-            if report.predicates_tested:
-                kernel.account(
-                    Primitive.FILTER_PREDICATE,
-                    costs.filter_cost(report.predicates_tested, 0),
-                    quantity=report.predicates_tested,
-                    component="pf",
-                    packet_id=pid,
-                )
-            if report.instructions_executed:
-                kernel.account(
-                    Primitive.FILTER_INSTRUCTION,
-                    costs.filter_cost(0, report.instructions_executed),
-                    quantity=report.instructions_executed,
-                    component="pf",
-                    packet_id=pid,
-                )
-            if ledger is not None and pid is not None:
-                ledger.stage(pid, STAGE_FILTER_EVAL, now)
-            for port_id in report.accepted_by:
-                handle = self._handles[port_id]
-                if handle.port.timestamping:
-                    kernel.account(
-                        Primitive.MICROTIME, costs.microtime,
-                        component="pf", packet_id=pid,
-                    )
-                notify[port_id] = handle
-            if ledger is not None and pid is not None and report.accepted_by:
-                ledger.stage(pid, STAGE_ENQUEUE, now)
-            self.packets_dropped_overflow += len(report.dropped_by)
-            for port_id in report.dropped_by:
-                kernel.account(
-                    Primitive.DROP_OVERFLOW, component="pf",
-                    packet_id=pid, flow=port_id,
-                )
-            for port_id in report.nobuf_by:
-                kernel.account(
-                    Primitive.DROP_NOBUF, component="pf",
-                    packet_id=pid, flow=port_id,
-                )
-            if (
-                ledger is not None
-                and pid is not None
-                and (report.dropped_by or report.nobuf_by)
-                and not report.accepted_by
-            ):
-                outcome = (
-                    "dropped_overflow" if report.dropped_by else "dropped_nobuf"
-                )
-                ledger.close_packet(pid, outcome, now)
-            if report.accepted:
-                self.packets_accepted += 1
-            accepted_flags.append(report.accepted)
-
-        woken_ports: set[int] = set()
-        for port_id, handle in notify.items():
-            if len(handle.readers):
-                woken_ports.add(port_id)
-            handle.readers.wake_all()
-            if handle.port.signal is not None:
-                kernel.post_signal(handle.owner, handle.port.signal)
-        if ledger is not None and woken_ports:
-            wake_at = kernel.scheduler.now
-            for report, pid in zip(reports, packet_ids):
-                if pid is not None and any(
-                    port_id in woken_ports for port_id in report.accepted_by
+        if woken and ledger is not None:
+            now = kernel.scheduler.now
+            for report, packet_id in arrivals:
+                if packet_id is not None and any(
+                    port_id in woken for port_id in report.accepted_by
                 ):
-                    ledger.stage(pid, STAGE_WAKEUP, wake_at)
-        if notify:
-            kernel.readiness_changed()
-        return accepted_flags
+                    ledger.stage(packet_id, STAGE_WAKEUP, now)
+        kernel.readiness_changed()
 
 
 class PacketFilterHandle(DeviceHandle):

@@ -46,10 +46,12 @@ class NIC:
         self.promiscuous = promiscuous
         self.input_queue_limit = input_queue_limit
         self.rx_batch = max(1, rx_batch)
-        """Frames handed to the kernel per service event.  1 keeps the
-        classic interrupt-per-frame path; larger values coalesce queued
-        frames into one ``network_input_batch`` call — interrupt
-        mitigation, with the batch size bounding added latency."""
+        """Most frames handed to the kernel per service event.  It caps
+        the burst; it does not pick the path: a lone queued frame always
+        takes the per-frame ``network_input``, so 1 means an interrupt
+        per frame, and larger values let queued frames share one
+        ``network_input_batch`` call — interrupt mitigation, with the
+        batch size bounding added latency."""
         self.rx_mitigation = 0.0
         """Seconds to hold the receive interrupt after a frame arrives
         (only with ``rx_batch`` > 1), letting a wire burst accumulate in
@@ -130,16 +132,10 @@ class NIC:
             self._drop_at_admission(frame, cause, ledger)
             return
         self.frames_received += 1
-        packet_id = None
-        if ledger is not None:
-            packet_id = ledger.begin_packet(
-                self.kernel.name,
-                at=self.kernel.scheduler.now,
-                flow=self.link.ethertype_of(frame),
-                stage=STAGE_WIRE_ARRIVAL,
-            )
         self._input_queue.append(frame)
-        self._input_ids.append(packet_id)
+        self._input_ids.append(
+            None if ledger is None else self._wire_span(frame, ledger)
+        )
         if self.polling:
             return  # the poll loop owns draining; arrivals just queue
         if policy is not None and len(self._input_queue) >= policy.poll_enter:
@@ -160,14 +156,7 @@ class NIC:
         account = getattr(self.kernel, "account", None)
         if account is None:
             return  # bare test-stub kernel: local counters only
-        packet_id = None
-        if ledger is not None:
-            packet_id = ledger.begin_packet(
-                self.kernel.name,
-                at=self.kernel.scheduler.now,
-                flow=self.link.ethertype_of(frame),
-                stage=STAGE_WIRE_ARRIVAL,
-            )
+        packet_id = None if ledger is None else self._wire_span(frame, ledger)
         account(cause, component="nic", packet_id=packet_id)
         if ledger is not None:
             # The legacy primitive's value predates the "dropped_*"
@@ -178,6 +167,15 @@ class NIC:
                 else cause.value
             )
             ledger.close_packet(packet_id, outcome, self.kernel.scheduler.now)
+
+    def _wire_span(self, frame: bytes, ledger) -> int:
+        """Open ``frame``'s ledger span at its wire arrival."""
+        return ledger.begin_packet(
+            self.kernel.name,
+            at=self.kernel.scheduler.now,
+            flow=self.link.ethertype_of(frame),
+            stage=STAGE_WIRE_ARRIVAL,
+        )
 
     def _schedule_service(self) -> None:
         """Arrange for the kernel's receive interrupt to drain the queue.
@@ -229,38 +227,34 @@ class NIC:
         self._service_scheduled = False
         if not self._input_queue or self.polling:
             return
-        pool = getattr(self.kernel, "buffer_pool", None)
-        if self.rx_batch <= 1:
-            frame = self._input_queue.popleft()
-            packet_id = self._input_ids.popleft() if self._input_ids else None
-            if pool is not None:
-                # The ring slot frees as the frame is handed up; a port
-                # that keeps it takes its own reservation at enqueue.
-                pool.release(("ring", self.kernel.name))
-            if packet_id is None:
-                # Also the path taken with bare test-stub kernels, whose
-                # network_input doesn't take a packet id.
-                self.kernel.network_input(self, frame)
-            else:
-                self.kernel.network_input(self, frame, packet_id)
-        else:
-            frames = []
-            packet_ids = []
-            while self._input_queue and len(frames) < self.rx_batch:
-                frames.append(self._input_queue.popleft())
-                packet_ids.append(
-                    self._input_ids.popleft() if self._input_ids else None
-                )
-            if pool is not None:
-                pool.release(("ring", self.kernel.name), len(frames))
-            if any(pid is not None for pid in packet_ids):
-                self.kernel.network_input_batch(
-                    self, frames, packet_ids=packet_ids
-                )
-            else:
-                self.kernel.network_input_batch(self, frames)
+        self._hand_up(self.rx_batch)
         if self._input_queue:
             self._schedule_service()
+
+    def _hand_up(self, limit: int) -> int:
+        """Dequeue up to ``limit`` frames and hand them to the kernel;
+        returns how many went up.
+
+        The ring slots free as the frames are handed up (a port that
+        keeps one takes its own reservation at enqueue).  A lone frame
+        takes the per-frame interrupt, ``network_input``; more share one
+        ``network_input_batch``.
+        """
+        queue, ids = self._input_queue, self._input_ids
+        kernel = self.kernel
+        count = len(queue)
+        if count > limit:
+            count = limit
+        pool = getattr(kernel, "buffer_pool", None)
+        if pool is not None:
+            pool.release(("ring", kernel.name), count)
+        if count == 1:
+            kernel.network_input(self, queue.popleft(), ids.popleft())
+        else:
+            frames = [queue.popleft() for _ in range(count)]
+            packet_ids = [ids.popleft() for _ in range(count)]
+            kernel.network_input_batch(self, frames, packet_ids=packet_ids)
+        return count
 
     # -- budgeted polling (receive-livelock avoidance) ---------------------
 
@@ -292,22 +286,8 @@ class NIC:
                 self._schedule_service()
             return
         start = kernel.cpu_available_at
-        frames: list[bytes] = []
-        packet_ids: list[int | None] = []
-        while self._input_queue and len(frames) < policy.poll_quota:
-            frames.append(self._input_queue.popleft())
-            packet_ids.append(
-                self._input_ids.popleft() if self._input_ids else None
-            )
-        pool = getattr(kernel, "buffer_pool", None)
-        if pool is not None:
-            pool.release(("ring", kernel.name), len(frames))
         self.polls += 1
-        self.frames_polled += len(frames)
-        if any(pid is not None for pid in packet_ids):
-            kernel.network_input_batch(self, frames, packet_ids=packet_ids)
-        else:
-            kernel.network_input_batch(self, frames)
+        self.frames_polled += self._hand_up(policy.poll_quota)
         if not self._input_queue:
             self.polling = False
             return

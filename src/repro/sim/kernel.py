@@ -745,11 +745,8 @@ class SimKernel:
         straight into the kernel), one is opened here.
         """
         ethertype = nic.link.ethertype_of(frame)
-        ledger = self.ledger
-        if ledger is not None and packet_id is None:
-            packet_id = ledger.begin_packet(
-                self.name, at=self.scheduler.now, flow=ethertype, stage=None
-            )
+        if packet_id is None and self.ledger is not None:
+            packet_id = self._open_span(ethertype)
         self.account(
             Primitive.INTERRUPT,
             self.costs.interrupt_service,
@@ -757,43 +754,17 @@ class SimKernel:
             packet_id=packet_id,
             flow=ethertype,
         )
-        self.account(Primitive.FRAME_RX, component="nic", packet_id=packet_id)
-        self.account(
-            Primitive.BUFFER,
-            self.costs.buffer_cost(len(frame)),
-            quantity=len(frame),
-            component="nic",
-            packet_id=packet_id,
-        )
-        if ledger is not None:
-            ledger.stage(packet_id, STAGE_INTERRUPT, self.scheduler.now)
-        handler = self._ethertype_handlers.get(ethertype)
-        claimed = False
-        if handler is not None:
-            previous = self._ledger_packet
-            self._ledger_packet = packet_id
-            try:
-                handler(nic, frame)
-            finally:
-                self._ledger_packet = previous
-            claimed = True
-        pf_took = False
-        if self._packet_filter is not None and (not claimed or self.pf_sees_all):
-            pf_took = self._packet_filter.packet_arrived(
+        self._frame_in(frame, packet_id)
+        claimed = self._claim(nic, frame, ethertype, packet_id)
+        if (
+            self._packet_filter is not None
+            and (not claimed or self.pf_sees_all)
+            and self._packet_filter.packet_arrived(
                 nic, frame, packet_id=packet_id
             )
-        if pf_took:
+        ):
             return  # the span stays open until read (or dropped) via the PF
-        if not claimed:
-            self.account(
-                Primitive.UNCLAIMED, component="nic", packet_id=packet_id
-            )
-            if ledger is not None:
-                ledger.close_packet(packet_id, "unclaimed", self.scheduler.now)
-        elif ledger is not None:
-            ledger.close_packet(
-                packet_id, "kernel_protocol", self.scheduler.now
-            )
+        self._settle(claimed, packet_id)
 
     def network_input_batch(
         self,
@@ -808,112 +779,95 @@ class SimKernel:
         handling stays per-frame), and every frame bound for the packet
         filter goes down in a single :meth:`packets_arrived` call so
         the filter's fixed dispatch overhead is also charged once.
-        Per-frame semantics — ethertype claiming, unclaimed counting —
-        are identical to ``len(frames)`` calls of :meth:`network_input`.
+        Each frame gets the same buffer charge, ethertype claiming and
+        fate as under :meth:`network_input`; only the interrupt and the
+        filter dispatch are shared.  A burst of one *is* a frame: it
+        goes through :meth:`network_input` and is charged exactly as
+        one.
         """
-        if not frames:
+        if len(frames) <= 1:
+            if frames:
+                self.network_input(
+                    nic, frames[0], packet_ids[0] if packet_ids else None
+                )
             return
-        ledger = self.ledger
         if packet_ids is None:
             packet_ids = [None] * len(frames)
-        ethertypes = [nic.link.ethertype_of(frame) for frame in frames]
-        if ledger is not None:
-            packet_ids = [
-                pid
-                if pid is not None
-                else ledger.begin_packet(
-                    self.name,
-                    at=self.scheduler.now,
-                    flow=ethertype,
-                    stage=None,
-                )
-                for pid, ethertype in zip(packet_ids, ethertypes)
-            ]
         self.account(
             Primitive.INTERRUPT, self.costs.interrupt_service, component="nic"
         )
-        for frame, pid in zip(frames, packet_ids):
-            self.account(Primitive.FRAME_RX, component="nic", packet_id=pid)
-            self.account(
-                Primitive.BUFFER,
-                self.costs.buffer_cost(len(frame)),
-                quantity=len(frame),
-                component="nic",
-                packet_id=pid,
-            )
-            if ledger is not None:
-                ledger.stage(pid, STAGE_INTERRUPT, self.scheduler.now)
-
-        if not self._ethertype_handlers and self._packet_filter is not None:
-            # Burst fast path: no kernel-resident protocol can claim any
-            # frame, so skip the per-frame handler probe and hand the
-            # whole burst to the packet filter in one call — the common
-            # shape for a PF-only receiver under batched input.
-            pf_frames = list(frames)
-            pf_claimed = [False] * len(frames)
-            pf_ids = list(packet_ids)
-        else:
-            pf_frames, pf_claimed, pf_ids = self._route_batch(
-                nic, frames, ethertypes, packet_ids
-            )
-        if pf_frames:
-            accepted = self._packet_filter.packets_arrived(
-                nic, pf_frames, packet_ids=pf_ids
-            )
-            for took, was_claimed, pid in zip(accepted, pf_claimed, pf_ids):
-                if took:
-                    continue
-                if not was_claimed:
-                    self.account(
-                        Primitive.UNCLAIMED, component="nic", packet_id=pid
-                    )
-                    if ledger is not None:
-                        ledger.close_packet(
-                            pid, "unclaimed", self.scheduler.now
-                        )
-                elif ledger is not None:
-                    ledger.close_packet(
-                        pid, "kernel_protocol", self.scheduler.now
-                    )
-
-    def _route_batch(
-        self,
-        nic,
-        frames: list[bytes],
-        ethertypes: list[int],
-        packet_ids: list[int | None],
-    ) -> tuple[list[bytes], list[bool], list[int | None]]:
-        """Per-frame ethertype routing for :meth:`network_input_batch`:
-        run kernel-protocol handlers, collect the packet-filter-bound
-        remainder."""
-        ledger = self.ledger
+        pf = self._packet_filter
         pf_frames: list[bytes] = []
         pf_claimed: list[bool] = []
         pf_ids: list[int | None] = []
-        for frame, ethertype, pid in zip(frames, ethertypes, packet_ids):
-            handler = self._ethertype_handlers.get(ethertype)
-            claimed = False
-            if handler is not None:
-                previous = self._ledger_packet
-                self._ledger_packet = pid
-                try:
-                    handler(nic, frame)
-                finally:
-                    self._ledger_packet = previous
-                claimed = True
-            if self._packet_filter is not None and (
-                not claimed or self.pf_sees_all
-            ):
+        for frame, pid in zip(frames, packet_ids):
+            ethertype = nic.link.ethertype_of(frame)
+            if pid is None and self.ledger is not None:
+                pid = self._open_span(ethertype)
+            self._frame_in(frame, pid)
+            claimed = self._claim(nic, frame, ethertype, pid)
+            if pf is not None and (not claimed or self.pf_sees_all):
                 pf_frames.append(frame)
                 pf_claimed.append(claimed)
                 pf_ids.append(pid)
-            elif not claimed:
-                self.account(Primitive.UNCLAIMED, component="nic", packet_id=pid)
-                if ledger is not None:
-                    ledger.close_packet(pid, "unclaimed", self.scheduler.now)
-            elif ledger is not None:
-                ledger.close_packet(pid, "kernel_protocol", self.scheduler.now)
-        return pf_frames, pf_claimed, pf_ids
+            else:
+                self._settle(claimed, pid)
+        if pf_frames:
+            accepted = pf.packets_arrived(nic, pf_frames, packet_ids=pf_ids)
+            for took, claimed, pid in zip(accepted, pf_claimed, pf_ids):
+                if not took:
+                    self._settle(claimed, pid)
+
+    def _open_span(self, ethertype: int) -> int:
+        """A ledger span for a frame injected without one."""
+        return self.ledger.begin_packet(
+            self.name, at=self.scheduler.now, flow=ethertype, stage=None
+        )
+
+    def _frame_in(self, frame: bytes, packet_id: int | None) -> None:
+        """Per-frame receive work under an interrupt already charged:
+        the frame count, buffer handling, and the span's interrupt
+        stage."""
+        self.account(Primitive.FRAME_RX, component="nic", packet_id=packet_id)
+        self.account(
+            Primitive.BUFFER,
+            self.costs.buffer_cost(len(frame)),
+            quantity=len(frame),
+            component="nic",
+            packet_id=packet_id,
+        )
+        if self.ledger is not None:
+            self.ledger.stage(packet_id, STAGE_INTERRUPT, self.scheduler.now)
+
+    def _claim(
+        self, nic, frame: bytes, ethertype: int, packet_id: int | None
+    ) -> bool:
+        """Run the kernel-resident protocol registered for ``ethertype``
+        (its charges attribute to ``packet_id``); True when one did."""
+        handler = self._ethertype_handlers.get(ethertype)
+        if handler is None:
+            return False
+        previous = self._ledger_packet
+        self._ledger_packet = packet_id
+        try:
+            handler(nic, frame)
+        finally:
+            self._ledger_packet = previous
+        return True
+
+    def _settle(self, claimed: bool, packet_id: int | None) -> None:
+        """Close the fate of a frame the packet filter did not take:
+        a kernel protocol's, or unclaimed."""
+        if not claimed:
+            self.account(
+                Primitive.UNCLAIMED, component="nic", packet_id=packet_id
+            )
+        if self.ledger is not None:
+            self.ledger.close_packet(
+                packet_id,
+                "kernel_protocol" if claimed else "unclaimed",
+                self.scheduler.now,
+            )
 
     def network_output(self, nic, frame: bytes) -> None:
         """Queue a frame for transmission (driver side)."""

@@ -23,7 +23,7 @@ def make_nic(segment, station, **kwargs):
         def __init__(self):
             self.scheduler = segment.scheduler
 
-        def network_input(self, nic, frame):
+        def network_input(self, nic, frame, packet_id=None):
             received.append((segment.scheduler.now, frame))
 
     nic.kernel = FakeKernel()

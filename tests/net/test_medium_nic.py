@@ -25,7 +25,7 @@ def make_nic(segment, station, **kwargs):
         def __init__(self):
             self.scheduler = segment.scheduler
 
-        def network_input(self, nic, frame):
+        def network_input(self, nic, frame, packet_id=None):
             received.append(frame)
 
     nic.kernel = FakeKernel()

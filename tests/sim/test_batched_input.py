@@ -4,8 +4,11 @@
 ``SimKernel.network_input_batch`` call, which charges interrupt service
 once and hands every filter-bound frame to the packet-filter device in
 one ``packets_arrived`` call (one ``pf_fixed`` charge).  Delivery
-semantics must be indistinguishable from the per-frame path.
+semantics must be indistinguishable from the per-frame path, and a
+burst of one frame is charged exactly as that frame alone.
 """
+
+from dataclasses import astuple
 
 from repro.core.compiler import compile_expr, word
 from repro.core.ioctl import PFIoctl
@@ -15,9 +18,9 @@ from repro.sim.world import World
 ETHERTYPE = 0x0900
 
 
-def monitor_world(rx_batch):
+def monitor_world(rx_batch, ledger=False):
     """A world with one packet-filtering host accepting ETHERTYPE."""
-    world = World()
+    world = World(ledger=ledger)
     host = world.host("monitor", promiscuous=True)
     host.nic.rx_batch = rx_batch
     host.install_packet_filter()
@@ -157,3 +160,48 @@ class TestBatchedInput:
         world.run()
         assert len(claimed) == 1
         assert host.kernel.stats.packets_unclaimed == 0
+
+
+class TestBurstOfOne:
+    """A one-frame burst is a frame: the same ledger events (packet ids
+    and flows included), spans and kernel counters as the per-frame
+    receive interrupt."""
+
+    ETHERTYPES = (ETHERTYPE, 0x7777, ETHERTYPE)  # accepted, unclaimed, accepted
+
+    def books(self, world, host):
+        ledger = world.ledger
+        return (
+            [astuple(event) for event in ledger.events],
+            {pid: astuple(span) for pid, span in ledger.spans.items()},
+            host.kernel.stats,
+        )
+
+    def receive_each(self, rx_batch, hand_up):
+        world, host = monitor_world(rx_batch, ledger=True)
+        for n, ethertype in enumerate(self.ETHERTYPES):
+            hand_up(host, make_frame(world, ethertype, bytes([n]) * 8))
+            world.run()
+        return world, host
+
+    def test_kernel_burst_of_one_matches_network_input(self):
+        per_frame = self.receive_each(
+            1, lambda host, frame: host.kernel.network_input(host.nic, frame)
+        )
+        burst = self.receive_each(
+            1,
+            lambda host, frame: host.kernel.network_input_batch(
+                host.nic, [frame]
+            ),
+        )
+        assert per_frame[1].kernel.stats.packets_unclaimed == 1
+        assert self.books(*burst) == self.books(*per_frame)
+
+    def test_batching_nic_hands_a_lone_frame_up_as_a_frame(self):
+        def queue(host, frame):
+            host.nic.receive(frame)
+
+        per_frame = self.receive_each(1, queue)
+        batching = self.receive_each(8, queue)
+        assert per_frame[1].kernel.stats.interrupts == 3
+        assert self.books(*batching) == self.books(*per_frame)
