@@ -1,20 +1,20 @@
 """The cross-shard observability plane: live views of a sharded run.
 
 Since the system of record became a multi-process topology
-(:mod:`repro.sim.orchestrator`), its workers have been invisible until
-they exit: the grant pipes carry only the synchronization protocol, and
-every ledger/telemetry byte arrives post-merge.  This module is the
+(:mod:`repro.sim.orchestrator`), its workers are invisible until they
+exit unless something rides the step replies: the synchronization
+protocol alone carries no ledger/telemetry byte before the merge.  This module is the
 paper's "substantial analysis in real time" stance applied to the
 *cluster*, the way :mod:`repro.sim.telemetry` applied it to one world:
 
-* :class:`SidebandSource` builds **bounded, monotonic progress deltas**
+* :class:`ProgressSource` builds **bounded, monotonic progress deltas**
   from a live shard — window index, earliest pending sim-time,
-  cumulative events, egress backlog, checkpoint age, newly fired
-  watchdog alerts, and a mergeable :class:`~repro.sim.telemetry.LogHistogram`
-  of span latencies.  Worker processes flush one delta per window over
-  a dedicated *sideband* pipe (never the grant channel), best-effort:
-  a dead aggregator silently disables the stream, a dead worker only
-  ends it.
+  cumulative events, egress backlog, newly fired watchdog alerts, and
+  a mergeable :class:`~repro.sim.telemetry.LogHistogram` of span
+  latencies.  Every shard returns one delta per window inside its step
+  reply, the crossing the protocol already pays for; the supervisor
+  adds the checkpoint age from its own checkpoint record.  A dead
+  worker sends no reply, so it simply stops reporting.
 * :class:`ObservabilityPlane` folds deltas into a live cluster view —
   per-shard :class:`ShardView` records plus skew/backlog aggregates —
   and exposes a callback API (``on_update``, ``on_alert``) that the
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable
 
 from .ledger import STAGE_SYSCALL_RETURN, STAGE_WIRE_ARRIVAL
@@ -46,7 +47,7 @@ from .telemetry import LogHistogram
 
 __all__ = [
     "span_latency_histogram",
-    "SidebandSource",
+    "ProgressSource",
     "ShardView",
     "ObservabilityPlane",
     "ShardSyncStats",
@@ -90,56 +91,48 @@ def span_latency_histogram(
 # ---------------------------------------------------------------------------
 
 
-class SidebandSource:
+class ProgressSource:
     """Builds one shard's progress deltas from its live segments.
 
-    Wraps a :class:`~repro.sim.shard.LocalShard` (in the worker process
-    for sharded runs, in the orchestrator itself for ``shards=1``) and
-    tracks flush cursors so every delta is an incremental read:
+    Owned by a :class:`~repro.sim.shard.LocalShard` built with
+    ``progress=True`` (in the worker process for sharded runs, in the
+    orchestrator itself for ``shards=1``), which calls :meth:`delta`
+    once per step.  Cursors make every delta an incremental read:
 
     * alerts are flushed once, by per-segment count cursor;
     * span latencies fold into a cumulative :class:`LogHistogram` as
-      spans close, keyed ``(segment, packet_id)`` so nothing is counted
-      twice;
+      spans close.  Ledger packet ids run 1, 2, ... in allocation order
+      (:meth:`~repro.sim.ledger.Ledger.begin_packet`), so a per-segment
+      id cursor finds the spans begun since the last delta and a list
+      keeps the ones still open; a folded span is never visited again;
     * everything else (window, events, clocks) is a cumulative snapshot
       — deltas are *monotonic*, so a delta that arrives late or twice
       (checkpoint replay) simply overwrites the view with the truth.
 
     The source only reads scheduler clocks, telemetry alert lists and
-    closed ledger spans — state that is quiescent at a window boundary —
-    so building a delta cannot perturb the simulation.
+    ledger spans — state that is quiescent at a window boundary — so
+    building a delta cannot perturb the simulation.
     """
 
-    def __init__(self, shard, shard_id: int = 0) -> None:
+    def __init__(self, shard) -> None:
         self.shard = shard
-        self.shard_id = shard_id
+        self.windows = 0
         self.span_hist = LogHistogram()
-        self.checkpoint_window = 0
-        self.checkpoint_forks = 0
-        self.checkpoint_fork_seconds = 0.0
         self._alert_cursor: dict[str, int] = {}
-        self._folded: set[tuple[str, int]] = set()
+        self._span_cursor: dict[str, int] = {}    #: next unvisited id
+        self._open_spans: dict[str, list[int]] = {}
 
-    def note_checkpoint(self, window: int, fork_seconds: float) -> None:
-        """Record a fork-based checkpoint the shard just took."""
-        self.checkpoint_window = window
-        self.checkpoint_forks += 1
-        self.checkpoint_fork_seconds += fork_seconds
-
-    def delta(self, *, window: int, egress_backlog: int) -> dict:
-        """One bounded, monotonic progress delta (a plain dict, so it
-        crosses the sideband pipe under any start method)."""
+    def delta(self, *, next_time: float | None, egress_backlog: int) -> dict:
+        """One bounded, monotonic progress delta for the window that
+        just ran (a plain dict, so it pickles under any start method)."""
+        self.windows += 1
         events = 0
-        next_times: list[float] = []
         segments: dict[str, dict] = {}
         alerts: list[dict] = []
         for name, runtime in self.shard.runtimes.items():
             world = runtime.world
             fired = world.scheduler.events_fired
             events += fired
-            pending = runtime.next_time()
-            if pending is not None:
-                next_times.append(pending)
             segments[name] = {"now": world.scheduler.now, "events": fired}
             telemetry = world.telemetry
             if telemetry is not None:
@@ -147,35 +140,38 @@ class SidebandSource:
                 for alert in telemetry.alerts[seen:]:
                     alerts.append(alert.to_dict())
                 self._alert_cursor[name] = len(telemetry.alerts)
-            ledger = world.ledger
-            if ledger is not None:
-                for packet_id, span in ledger.spans.items():
-                    if span.closed_at is None:
-                        continue
-                    key = (name, packet_id)
-                    if key in self._folded:
-                        continue
-                    self._folded.add(key)
-                    latency = span.latency(
-                        STAGE_WIRE_ARRIVAL, STAGE_SYSCALL_RETURN
-                    )
-                    if latency is not None:
-                        self.span_hist.add(latency)
+            if world.ledger is not None:
+                self._fold_spans(name, world.ledger.spans)
         return {
-            "shard": self.shard_id,
-            "window": window,
-            "next_time": min(next_times) if next_times else None,
+            "window": self.windows,
+            "next_time": next_time,
             "events_fired": events,
             "egress_backlog": egress_backlog,
-            "checkpoint_window": self.checkpoint_window,
-            "checkpoint_forks": self.checkpoint_forks,
-            "checkpoint_fork_seconds": self.checkpoint_fork_seconds,
             "alerts": alerts,
             "segments": segments,
             "span_hist": (
                 self.span_hist.to_dict() if self.span_hist.count else None
             ),
         }
+
+    def _fold_spans(self, name: str, spans) -> None:
+        """Fold the spans that closed since the last delta: those open
+        last time plus those begun since, and no others."""
+        end = len(spans) + 1
+        still_open: list[int] = []
+        for packet_id in chain(
+            self._open_spans.get(name, ()),
+            range(self._span_cursor.get(name, 1), end),
+        ):
+            span = spans[packet_id]
+            if span.closed_at is None:
+                still_open.append(packet_id)
+                continue
+            latency = span.latency(STAGE_WIRE_ARRIVAL, STAGE_SYSCALL_RETURN)
+            if latency is not None:
+                self.span_hist.add(latency)
+        self._open_spans[name] = still_open
+        self._span_cursor[name] = end
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +212,7 @@ class ShardView:
 
 
 class ObservabilityPlane:
-    """Folds sideband deltas into a live cluster view.
+    """Folds progress deltas into a live cluster view.
 
     Pass an instance to :func:`repro.sim.orchestrator.run_topology` via
     ``observability=`` to arm it.  ``on_update(plane)`` fires after
@@ -250,16 +246,18 @@ class ObservabilityPlane:
             self.shards[shard_id] = ShardView(shard_id)
         return self.shards[shard_id]
 
-    def ingest(self, delta: dict) -> None:
-        """Fold one sideband delta in and fire callbacks."""
-        view = self.view(delta["shard"])
+    def ingest(self, shard_id: int, delta: dict) -> None:
+        """Fold one progress delta from ``shard_id`` in and fire
+        callbacks.  Checkpoint fields are present only when the shard's
+        supervisor stamped them (in-process shards never checkpoint)."""
+        view = self.view(shard_id)
         view.window = delta["window"]
         view.next_time = delta["next_time"]
         view.events_fired = delta["events_fired"]
         view.egress_backlog = delta["egress_backlog"]
-        view.checkpoint_window = delta["checkpoint_window"]
-        view.checkpoint_forks = delta["checkpoint_forks"]
-        view.checkpoint_fork_seconds = delta["checkpoint_fork_seconds"]
+        view.checkpoint_window = delta.get("checkpoint_window", 0)
+        view.checkpoint_forks = delta.get("checkpoint_forks", 0)
+        view.checkpoint_fork_seconds = delta.get("checkpoint_fork_seconds", 0.0)
         view.segments = dict(delta["segments"])
         if delta.get("span_hist"):
             view.span_hist = LogHistogram.from_dict(delta["span_hist"])

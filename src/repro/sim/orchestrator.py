@@ -17,6 +17,9 @@ sequence of synchronized time windows:
    strictly after the earliest pending event anywhere (idle stretches
    are skipped in one hop, busy ones advance window by window).
 
+A topology without bridges has no lookahead to respect, so the same
+loop grants once — to quiescence, or past ``until`` — and stops.
+
 Because horizons, frame routing and injection order are computed
 identically whether shards are in-process (``shards=1``) or separate
 processes, the merged result is bitwise identical across partitionings
@@ -34,6 +37,10 @@ so a recovered run's digest is bitwise equal to an undisturbed one.
 Restarts are recorded on the result and surfaced as ``shard_restart``
 alerts in the merged telemetry stream (which the digest deliberately
 excludes).
+
+An armed :class:`~repro.sim.obsplane.ObservabilityPlane` rides the step
+replies too: each shard's reply carries its progress delta, and the
+loop ingests it where it receives the reply, whatever the shard kind.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ import time
 from dataclasses import dataclass, field
 
 from .ledger import Ledger
-from .obsplane import ShardSyncStats, SidebandSource, SyncProfile
+from .obsplane import ShardSyncStats, SyncProfile
 from .shard import (
     LocalShard,
     ProcessShard,
@@ -57,6 +64,11 @@ from .topology import SegmentReport, TopologySpec
 
 __all__ = ["RecoveryConfig", "TopologyResult", "run_topology"]
 
+#: Restart attempts after the first (which is immediate) sleep
+#: ``BACKOFF_BASE * 2**(attempt-2)`` seconds, capped at ``BACKOFF_CAP``.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+
 
 @dataclass(frozen=True)
 class RecoveryConfig:
@@ -65,16 +77,13 @@ class RecoveryConfig:
     ``checkpoint_interval`` is in windows (None disables checkpointing:
     every recovery is a fresh respawn replaying the whole journal).
     ``recv_timeout`` is the per-window reply deadline that classifies a
-    shard as wedged.  Restart attempts back off exponentially from
-    ``backoff_base`` (first retry is immediate), capped at
-    ``backoff_cap`` seconds.
+    shard as wedged.  ``max_restarts`` bounds the revival attempts per
+    failure, spaced by exponential backoff.
     """
 
     checkpoint_interval: int | None = 8
     recv_timeout: float | None = 30.0
     max_restarts: int = 3
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
 
 
 @dataclass
@@ -228,20 +237,15 @@ def _recover_shard(
     """Revive ``handle`` and replay its journal, with bounded backoff.
 
     The first attempt is immediate (the common case: a clean crash with
-    a live checkpoint child); subsequent attempts sleep
-    ``backoff_base * 2**(attempt-1)`` capped at ``backoff_cap``.  The
-    last failure is re-raised once the restart budget is spent.
+    a live checkpoint child); subsequent attempts back off exponentially
+    (:data:`BACKOFF_BASE`, :data:`BACKOFF_CAP`).  The last failure is
+    re-raised once the restart budget is spent.
     """
     reason = "timed out" if isinstance(failure, ShardTimeoutError) else "died"
     last_error = failure
     for attempt in range(1, recovery.max_restarts + 1):
         if attempt > 1:
-            time.sleep(
-                min(
-                    recovery.backoff_base * 2 ** (attempt - 2),
-                    recovery.backoff_cap,
-                )
-            )
+            time.sleep(min(BACKOFF_BASE * 2 ** (attempt - 2), BACKOFF_CAP))
         started = time.perf_counter()
         try:
             reply, info = handle.recover(grants, final=final)
@@ -271,7 +275,6 @@ def run_topology(
     shards: int = 1,
     until: float | None = None,
     max_windows: int = 1_000_000,
-    mp_context=None,
     timeout: float | None = None,
     recovery: RecoveryConfig | None = None,
     hazards: dict[int, dict] | None = None,
@@ -282,7 +285,8 @@ def run_topology(
     ``shards=1`` runs everything in-process — same windowed algorithm,
     same per-segment worlds, zero IPC — and is the bitwise oracle for
     any larger shard count.  ``until`` optionally stops once every
-    pending event lies beyond that simulated time.  ``max_windows``
+    pending event lies beyond that simulated time, with or without
+    bridges.  ``max_windows``
     bounds the synchronization rounds (a livelocked topology should
     fail loudly).
 
@@ -295,12 +299,11 @@ def run_topology(
     (see :class:`~repro.sim.shard.ProcessShard`) for recovery tests.
 
     ``observability`` takes an
-    :class:`~repro.sim.obsplane.ObservabilityPlane`: worker shards then
-    stream per-window progress deltas over dedicated sideband pipes
-    (the ``shards=1`` fallback feeds the plane synchronously) and the
-    plane's callbacks fire live.  The plane only *reads* quiescent
-    state, so the result is bitwise identical armed or off — the
-    observer-effect guard pins this.
+    :class:`~repro.sim.obsplane.ObservabilityPlane`: every shard, in
+    process or not, then returns a progress delta inside each step
+    reply, and the plane's callbacks fire live as the replies arrive.
+    The plane only *reads* quiescent state, so the result is bitwise
+    identical armed or off — the observer-effect guard pins this.
     """
     spec.validate()
     if shards < 1:
@@ -312,20 +315,23 @@ def run_topology(
     if recv_timeout is None and recovery is not None:
         recv_timeout = recovery.recv_timeout
     if len(groups) <= 1 or shards == 1:
-        handles = [LocalShard(spec, list(range(len(spec.segments))))]
+        handles = [
+            LocalShard(
+                spec, list(range(len(spec.segments))), progress=plane is not None
+            )
+        ]
     else:
         handles = [
             ProcessShard(
                 spec,
                 group,
-                context=mp_context,
                 shard_id=index,
                 timeout=recv_timeout,
                 checkpoint_interval=(
                     recovery.checkpoint_interval if recovery else None
                 ),
                 hazard=(hazards or {}).get(index),
-                sideband=plane is not None,
+                progress=plane is not None,
             )
             for index, group in enumerate(groups)
         ]
@@ -348,123 +354,83 @@ def run_topology(
             for index, group in enumerate(shard_groups)
         ]
     )
-    # shards=1 has no worker process and no pipe: the plane is fed
-    # synchronously from the same delta builder the workers use.
-    local_source = None
-    if plane is not None and isinstance(handles[0], LocalShard):
-        local_source = SidebandSource(handles[0], 0)
-
     def _granted_recv(index: int, horizon: float | None):
         handle = handles[index]
         try:
-            return handle.step_recv()
+            _, egress, next_time, progress = handle.step_recv()
         except (ShardDiedError, ShardTimeoutError) as failure:
             if not supervised:
                 raise
             if plane is not None:
-                # The shard's sideband stream ended mid-run; the plane
-                # keeps its last good view and must not wedge.
+                # The plane keeps the dead shard's last good view and
+                # must not wedge while it is revived.
                 plane.mark_lost(index)
-            reply = _recover_shard(
+            _, egress, next_time, progress = _recover_shard(
                 handle, journal[index], failure, recovery, restarts, horizon
             )
             if plane is not None:
                 plane.mark_restarted(index)
-            return reply
-
-    def _drain_plane() -> None:
-        if plane is None:
-            return
-        for handle in handles:
-            if isinstance(handle, ProcessShard):
-                for delta in handle.drain_sideband():
-                    plane.ingest(delta)
+        if progress is not None:
+            plane.ingest(index, progress)
+        return egress, next_time
 
     window = spec.window()
     windows = 0
+    pending: list = []
+    window_index = 0
+    if window is not None:
+        horizon = 0.0   # priming grant: deliver nothing, report next_time
+    elif until is not None:
+        # No bridges means no lookahead to respect: one grant runs every
+        # event at or before ``until``, the bound the loop below keeps.
+        horizon = math.nextafter(until, math.inf)
+    else:
+        horizon = None  # no bridges: one grant runs every world dry
     try:
-        if window is None:
-            # No bridges: segments are fully independent; one
-            # quiescence grant each, no exchanges.
+        while True:
+            if windows >= max_windows:
+                raise RuntimeError(
+                    f"exceeded {max_windows} synchronization windows "
+                    f"(clock at {horizon}); topology may be livelocked"
+                )
             window_started = time.perf_counter()
-            for index, handle in enumerate(handles):
-                journal[index].append((None, []))
-                sync.shards[index].note_grant(0)
-                handle.step_send(None, [])
+            outbound: list[list] = [[] for _ in handles]
+            for record in pending:
+                outbound[shard_of[record.dst_segment]].append(record)
+            for index, (handle, frames) in enumerate(zip(handles, outbound)):
+                journal[index].append((horizon, frames))
+                # A grant with no frames is a pure null message — time
+                # permission only, the protocol's overhead.
+                sync.shards[index].note_grant(len(frames))
+                handle.step_send(horizon, frames)
+            egress: list = []
+            next_times: list[float] = []
             for index in range(len(handles)):
                 waited = time.perf_counter()
-                _, shard_egress, _ = _granted_recv(index, None)
+                shard_egress, shard_next = _granted_recv(index, horizon)
                 sync.shards[index].note_reply(
                     time.perf_counter() - waited, len(shard_egress)
                 )
-                if local_source is not None:
-                    plane.ingest(local_source.delta(window=1, egress_backlog=0))
-            sync.note_window(None, time.perf_counter() - window_started)
-            _drain_plane()
-            windows = 1
-        else:
-            pending: list = []
-            window_index = 0
-            horizon = 0.0   # priming grant: deliver nothing, report next_time
-            while True:
-                if windows >= max_windows:
-                    raise RuntimeError(
-                        f"exceeded {max_windows} synchronization windows "
-                        f"(clock at {horizon}); topology may be livelocked"
-                    )
-                window_started = time.perf_counter()
-                outbound: list[list] = [[] for _ in handles]
-                for record in pending:
-                    outbound[shard_of[record.dst_segment]].append(record)
-                for index, (handle, frames) in enumerate(
-                    zip(handles, outbound)
-                ):
-                    journal[index].append((horizon, frames))
-                    # A grant with no frames is a pure null message —
-                    # time permission only, the protocol's overhead.
-                    sync.shards[index].note_grant(len(frames))
-                    handle.step_send(horizon, frames)
-                egress: list = []
-                next_times: list[float] = []
-                for index in range(len(handles)):
-                    waited = time.perf_counter()
-                    _, shard_egress, shard_next = _granted_recv(
-                        index, horizon
-                    )
-                    sync.shards[index].note_reply(
-                        time.perf_counter() - waited, len(shard_egress)
-                    )
-                    egress.extend(shard_egress)
-                    if shard_next is not None:
-                        next_times.append(shard_next)
-                    if local_source is not None:
-                        plane.ingest(
-                            local_source.delta(
-                                window=windows + 1,
-                                egress_backlog=len(shard_egress),
-                            )
-                        )
-                windows += 1
-                sync.note_window(horizon, time.perf_counter() - window_started)
-                _drain_plane()
-                next_times.extend(record.deliver_at for record in egress)
-                if not next_times:
-                    break
-                earliest = min(next_times)
-                if until is not None and earliest > until:
-                    break
-                pending = egress
-                # The smallest window-multiple strictly after
-                # ``earliest``: floor(e/W)*W <= e < (floor(e/W)+1)*W,
-                # and that upper bound is <= e + W, so frames captured
-                # in the window (all at times >= earliest, with
-                # delay >= W) still deliver at or after the horizon
-                # that follows it.  Integer window indices keep the
-                # horizon sequence free of accumulated float error.
-                window_index = max(
-                    window_index + 1, math.floor(earliest / window) + 1
-                )
-                horizon = window_index * window
+                egress.extend(shard_egress)
+                if shard_next is not None:
+                    next_times.append(shard_next)
+            windows += 1
+            sync.note_window(horizon, time.perf_counter() - window_started)
+            next_times.extend(record.deliver_at for record in egress)
+            if window is None or not next_times:
+                break
+            earliest = min(next_times)
+            if until is not None and earliest > until:
+                break
+            pending = egress
+            # The smallest window-multiple strictly after ``earliest``:
+            # floor(e/W)*W <= e < (floor(e/W)+1)*W, and that upper bound
+            # is <= e + W, so frames captured in the window (all at
+            # times >= earliest, with delay >= W) still deliver at or
+            # after the horizon that follows it.  Integer window indices
+            # keep the horizon sequence free of accumulated float error.
+            window_index = max(window_index + 1, math.floor(earliest / window) + 1)
+            horizon = window_index * window
         by_name: dict[str, SegmentReport] = {}
         for index, handle in enumerate(handles):
             try:
@@ -487,7 +453,6 @@ def run_topology(
                     plane.mark_restarted(index)
             for report in reports:
                 by_name[report.name] = report
-        _drain_plane()
     finally:
         for handle in handles:
             handle.close()

@@ -10,7 +10,10 @@ drives:
     on the same call that delivers any actual frames): inject the
     inbound bridged frames, run every owned segment's world up to — but
     excluding — ``horizon``, and return the frames captured for other
-    segments plus the earliest pending local event time.
+    segments plus the earliest pending local event time.  A shard built
+    with ``progress=True`` also returns one observability progress
+    delta (:class:`~repro.sim.obsplane.ProgressSource`) in the same
+    reply, so the plane costs no extra crossing.
 
 ``collect()``
     Per-segment :class:`~repro.sim.topology.SegmentReport` records —
@@ -21,8 +24,8 @@ Two interchangeable implementations: :class:`LocalShard` runs in the
 calling process (the ``shards=1`` fallback — and the oracle that the
 multiprocess path must match bitwise); :class:`ProcessShard` runs a
 :class:`LocalShard` inside a ``multiprocessing`` worker, speaking a
-small tuple protocol over a pipe.  The send/receive halves are split so
-the orchestrator can grant time to every shard before blocking on any
+small tuple protocol over one pipe.  The send/receive halves are split
+so the orchestrator can grant time to every shard before blocking on any
 reply — that concurrency is the whole speedup.
 
 Failure is a first-class event here.  A dead worker (EOF on the pipe)
@@ -60,6 +63,7 @@ import os
 import signal
 import time
 
+from .obsplane import ProgressSource
 from .topology import SegmentRuntime, TopologySpec
 
 __all__ = [
@@ -119,21 +123,30 @@ def partition(count: int, shards: int) -> list[list[int]]:
 
 
 class LocalShard:
-    """Segments stepped in the calling process."""
+    """Segments stepped in the calling process.
 
-    def __init__(self, topology: TopologySpec, indices: list[int]) -> None:
+    ``progress=True`` arms the observability plane: every :meth:`step`
+    then builds a progress delta once its window has run, when every
+    owned world is quiescent, and returns it with the step's reply.
+    """
+
+    def __init__(
+        self, topology: TopologySpec, indices: list[int], *, progress: bool = False
+    ) -> None:
         # Build in index order: construction order is observable (RNG
         # draws, sequence numbers) and must be partition-independent.
         self.runtimes = {
             topology.segments[index].name: SegmentRuntime(topology, index)
             for index in sorted(indices)
         }
+        self.progress = ProgressSource(self) if progress else None
         self._reply = None
 
     # -- stepping -------------------------------------------------------
 
     def step(self, horizon: float | None, frames: list) -> tuple:
-        """Run one window; returns (events fired, egress, next time).
+        """Run one window; returns (events fired, egress, next time,
+        progress delta — None unless the plane is armed).
 
         ``horizon=None`` means "no bridges anywhere": run each world to
         quiescence instead of to a time bound.
@@ -156,7 +169,13 @@ class LocalShard:
             for t in (runtime.next_time() for runtime in self.runtimes.values())
             if t is not None
         ]
-        return fired, egress, (min(times) if times else None)
+        next_time = min(times) if times else None
+        delta = None
+        if self.progress is not None:
+            delta = self.progress.delta(
+                next_time=next_time, egress_backlog=len(egress)
+            )
+        return fired, egress, next_time, delta
 
     # Split halves, so Local and Process shards drive identically: the
     # orchestrator issues every send, then drains every receive.
@@ -198,8 +217,9 @@ def _await_promotion(conn, settings: dict, window: int, pending: tuple):
     Closing the inherited command pipe first is load-bearing — it keeps
     the supervisor's EOF detection crisp (only the live worker holds the
     pipe).  ``pending`` is the reply the parent had computed but may not
-    have delivered before dying; it rides the promotion handshake so a
-    crash *between compute and send* loses nothing.
+    have delivered before dying, progress delta included; it rides the
+    promotion handshake so a crash *between compute and send* loses
+    nothing.
     """
     try:
         conn.close()
@@ -230,18 +250,7 @@ def _shard_worker(
         and interval
         and settings.get("promote_address") is not None
     )
-    shard = LocalShard(topology, indices)
-    # The observability sideband: a second, send-only pipe the worker
-    # flushes one bounded progress delta down after every window.  It
-    # is strictly best-effort — a vanished aggregator turns the stream
-    # off, never the simulation — and it never carries protocol
-    # traffic, so the grant channel's ordering is untouched.
-    sideband = settings.get("sideband")
-    source = None
-    if sideband is not None:
-        from .obsplane import SidebandSource
-
-        source = SidebandSource(shard, settings.get("shard_id", 0))
+    shard = LocalShard(topology, indices, progress=settings.get("progress", False))
     window = 0
     frozen_pid: int | None = None
     try:
@@ -255,7 +264,7 @@ def _shard_worker(
                 if hazard.get("wedge_at_window") == window:
                     time.sleep(float(hazard.get("wedge_seconds", 3600.0)))
                 _, horizon, frames = message
-                reply = shard.step(horizon, frames)
+                reply = ("stepped", window) + shard.step(horizon, frames)
                 checkpoint = None
                 if can_checkpoint and window % interval == 0:
                     # Retire the previous checkpoint *before* forking
@@ -267,35 +276,17 @@ def _shard_worker(
                     pid = os.fork()
                     if pid == 0:
                         conn = _await_promotion(
-                            conn,
-                            settings,
-                            window,
-                            ("stepped", window) + reply + (None,),
+                            conn, settings, window, reply + (None,)
                         )
                         # We are now the live worker, resumed from this
                         # window's state: hazards are spent, and any
                         # checkpoint pid belonged to our dead parent.
-                        # The inherited sideband write end (and the
-                        # source's cursors, frozen with our state) stay
-                        # valid — the stream resumes where it paused.
                         hazard = {}
                         frozen_pid = None
                         continue
-                    fork_seconds = time.perf_counter() - fork_started
                     frozen_pid = pid
-                    checkpoint = (window, pid, fork_seconds)
-                    if source is not None:
-                        source.note_checkpoint(window, fork_seconds)
-                conn.send(("stepped", window) + reply + (checkpoint,))
-                if sideband is not None and source is not None:
-                    try:
-                        sideband.send(
-                            source.delta(
-                                window=window, egress_backlog=len(reply[1])
-                            )
-                        )
-                    except (BrokenPipeError, OSError):
-                        sideband = None
+                    checkpoint = (window, pid, time.perf_counter() - fork_started)
+                conn.send(reply + (checkpoint,))
             elif command == "collect":
                 conn.send(("collected", shard.collect()))
             elif command == "exit":
@@ -306,11 +297,6 @@ def _shard_worker(
         pass
     finally:
         _kill_quietly(frozen_pid)
-        if sideband is not None:
-            try:
-                sideband.close()
-            except OSError:
-                pass
         try:
             conn.close()
         except OSError:
@@ -381,7 +367,9 @@ class ProcessShard:
     when one survives, respawning from scratch otherwise — and replays
     the journaled grants the caller hands it.  ``hazard`` injects a
     deterministic failure (``die_at_window``, ``wedge_at_window`` +
-    ``wedge_seconds``) for recovery tests.
+    ``wedge_seconds``) for recovery tests.  ``progress`` arms the
+    worker's :class:`LocalShard` to return a progress delta with every
+    step reply.
     """
 
     def __init__(
@@ -389,14 +377,13 @@ class ProcessShard:
         topology: TopologySpec,
         indices: list[int],
         *,
-        context=None,
         shard_id: int = 0,
         timeout: float | None = None,
         checkpoint_interval: int | None = None,
         hazard: dict | None = None,
-        sideband: bool = False,
+        progress: bool = False,
     ) -> None:
-        context = context or _default_context()
+        context = _default_context()
         if context.get_start_method() == "spawn":
             for index in indices:
                 builder = topology.segments[index].builder
@@ -412,7 +399,7 @@ class ProcessShard:
         self.shard_id = shard_id
         self.timeout = timeout
         self.checkpoint_interval = checkpoint_interval
-        self.sideband = bool(sideband)
+        self.progress = progress
         self.windows_sent = 0
         self.last_ack = 0
         self.restarts = 0
@@ -426,8 +413,6 @@ class ProcessShard:
         self._send_failed = False
         self._failed = False
         self._listener = None
-        self._sideband = None
-        self._sideband_buffer: list = []
         self._authkey: bytes | None = None
         if checkpoint_interval is not None and hasattr(os, "fork"):
             self._authkey = bytes(multiprocessing.current_process().authkey)
@@ -439,7 +424,7 @@ class ProcessShard:
     # -- spawning --------------------------------------------------------
 
     def _settings(self, hazard: dict | None) -> dict:
-        settings: dict = {"shard_id": self.shard_id}
+        settings: dict = {"progress": self.progress}
         if hazard:
             settings["hazard"] = dict(hazard)
         if self._listener is not None:
@@ -449,31 +434,14 @@ class ProcessShard:
         return settings
 
     def _spawn(self, *, hazard: dict | None) -> None:
-        settings = self._settings(hazard)
-        sideband_child = None
-        if self.sideband:
-            # A fresh stream per worker generation: a respawned worker
-            # rebuilds its cursors from scratch, so its deltas must not
-            # interleave with the dead predecessor's on a shared pipe.
-            # (A *promoted* checkpoint child keeps the old pipe — it
-            # inherited the write end at fork time.)
-            if self._sideband is not None:
-                try:
-                    self._sideband.close()
-                except OSError:
-                    pass
-            self._sideband, sideband_child = self._context.Pipe(duplex=False)
-            settings["sideband"] = sideband_child
         self._conn, child = self._context.Pipe()
         self._process = self._context.Process(
             target=_shard_worker,
-            args=(self._topology, self.indices, child, settings),
+            args=(self._topology, self.indices, child, self._settings(hazard)),
             daemon=True,
         )
         self._process.start()
         child.close()
-        if sideband_child is not None:
-            sideband_child.close()
         self._send_failed = False
         self._failed = False
 
@@ -498,37 +466,7 @@ class ProcessShard:
             last_ack=self.last_ack,
         )
 
-    def _pump_sideband(self) -> None:
-        """Drain every queued sideband delta into the local buffer.
-
-        Called on every reply wait (including recovery replay), which
-        doubles as backpressure relief: the worker's per-window delta
-        send can never fill the pipe and stall the step protocol,
-        because the supervisor empties it at least once per window.  A
-        closed stream (worker death) just ends the pumping — the
-        deltas already buffered stay readable.
-        """
-        conn = self._sideband
-        if conn is None:
-            return
-        try:
-            while conn.poll(0):
-                self._sideband_buffer.append(conn.recv())
-        except (EOFError, OSError):
-            try:
-                conn.close()
-            except OSError:
-                pass
-            self._sideband = None
-
-    def drain_sideband(self) -> list:
-        """Hand back (and clear) the buffered sideband deltas."""
-        self._pump_sideband()
-        deltas, self._sideband_buffer = self._sideband_buffer, []
-        return deltas
-
     def _recv(self) -> tuple:
-        self._pump_sideband()
         if self._send_failed:
             self._fail_died()
         try:
@@ -549,17 +487,30 @@ class ProcessShard:
             self._fail_died()
 
     def step_recv(self) -> tuple:
-        reply = self._recv()
+        return self._ack(self._recv())
+
+    def _ack(self, reply: tuple) -> tuple:
+        """Unpack a ``stepped`` reply into what :meth:`LocalShard.step`
+        returns, recording its window and any checkpoint it reports."""
         if reply[0] != "stepped":
             raise RuntimeError(f"shard protocol error: {reply!r}")
-        _, window, fired, egress, next_time, checkpoint = reply
+        _, window, fired, egress, next_time, progress, checkpoint = reply
         self.last_ack = window
         if checkpoint is not None:
             window_taken, pid, fork_seconds = checkpoint
             self._checkpoint = (window_taken, pid)
             self.checkpoint_forks += 1
             self.checkpoint_fork_seconds += fork_seconds
-        return fired, egress, next_time
+        if progress is not None:
+            # The worker cannot know which of its checkpoints survives
+            # a promotion; the supervisor's record can, so it stamps
+            # the delta (window 0: none live, a death replays it all).
+            progress["checkpoint_window"] = (
+                self._checkpoint[0] if self._checkpoint else 0
+            )
+            progress["checkpoint_forks"] = self.checkpoint_forks
+            progress["checkpoint_fork_seconds"] = self.checkpoint_fork_seconds
+        return fired, egress, next_time, progress
 
     def collect(self) -> list:
         try:
@@ -667,8 +618,7 @@ class ProcessShard:
                         f"shard {self.shard_id} resumed past the journal "
                         f"({resume} > {len(grants)}) with no pending reply"
                     )
-                self.last_ack = pending[1]
-                return (pending[2], pending[3], pending[4]), info
+                return self._ack(pending), info
             for horizon, frames in grants[resume:-1]:
                 self.step_send(horizon, frames)
                 self.step_recv()
@@ -707,12 +657,6 @@ class ProcessShard:
             except OSError:
                 pass
             self._listener = None
-        if self._sideband is not None:
-            try:
-                self._sideband.close()
-            except OSError:
-                pass
-            self._sideband = None
         try:
             self._conn.close()
         except OSError:

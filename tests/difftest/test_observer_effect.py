@@ -2,7 +2,7 @@
 change a single bit of any run's result.
 
 This is PR 5's free-when-off contract extended to the cross-shard
-plane: sideband deltas are built from quiescent window-boundary state,
+plane: progress deltas are built from quiescent window-boundary state,
 sync profiling is supervisor-side wall clock, flow records and span
 histograms live outside the digest — so ``run_digest`` armed vs off
 must match bitwise at every shard count and seed.  CI runs this guard

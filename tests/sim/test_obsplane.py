@@ -1,5 +1,5 @@
-"""The observability plane: histograms, sideband streaming, loss
-tolerance, and the sync-protocol profiler."""
+"""The observability plane: histograms, progress deltas carried on the
+step reply, loss tolerance, and the sync-protocol profiler."""
 
 import math
 
@@ -9,6 +9,7 @@ from repro.bench.topologies import flow_storm_topology, partition_storm_topology
 from repro.difftest.sharding import run_digest
 from repro.sim.obsplane import ObservabilityPlane, span_latency_histogram
 from repro.sim.orchestrator import RecoveryConfig, run_topology
+from repro.sim.shard import LocalShard
 from repro.sim.telemetry import LogHistogram
 
 STORM = dict(segments=2, seed=0, duration=0.1, flows=64, cache_size=16)
@@ -121,9 +122,8 @@ class TestSpanLatencyHistogram:
 
 
 class TestObservabilityPlane:
-    def delta(self, shard=0, window=1, **overrides):
+    def delta(self, window=1, **overrides):
         base = {
-            "shard": shard,
             "window": window,
             "next_time": 0.01,
             "events_fired": 10,
@@ -141,8 +141,8 @@ class TestObservabilityPlane:
     def test_ingest_builds_views_and_fires_callbacks(self):
         seen = []
         plane = ObservabilityPlane(on_update=lambda p: seen.append(p.deltas))
-        plane.ingest(self.delta(shard=0, window=3, next_time=0.03))
-        plane.ingest(self.delta(shard=1, window=3, next_time=0.05))
+        plane.ingest(0, self.delta(window=3, next_time=0.03))
+        plane.ingest(1, self.delta(window=3, next_time=0.05))
         assert seen == [1, 2]
         assert plane.view(0).window == 3
         assert plane.earliest_time() == 0.03
@@ -156,15 +156,15 @@ class TestObservabilityPlane:
         }
         announced = []
         plane = ObservabilityPlane(on_alert=announced.append)
-        plane.ingest(self.delta(window=1, alerts=[alert]))
-        plane.ingest(self.delta(window=2, alerts=[dict(alert)]))  # replayed
+        plane.ingest(0, self.delta(window=1, alerts=[alert]))
+        plane.ingest(0, self.delta(window=2, alerts=[dict(alert)]))  # replayed
         assert len(plane.alerts) == 1
         assert announced == [alert]
         assert plane.active_alerts() == [alert]
 
     def test_checkpoint_age_and_loss_marks(self):
         plane = ObservabilityPlane()
-        plane.ingest(self.delta(window=9, checkpoint_window=6))
+        plane.ingest(0, self.delta(window=9, checkpoint_window=6))
         assert plane.view(0).checkpoint_age == 3
         plane.mark_lost(0)
         assert plane.view(0).lost
@@ -174,8 +174,8 @@ class TestObservabilityPlane:
 
     def test_render_is_plain_text(self):
         plane = ObservabilityPlane()
-        plane.ingest(self.delta(shard=0))
-        plane.ingest(self.delta(shard=1))
+        plane.ingest(0, self.delta())
+        plane.ingest(1, self.delta())
         frame = plane.render()
         assert "cluster: 2 shard(s)" in frame
         assert "alerts: none" in frame
@@ -189,7 +189,7 @@ class TestLiveStreaming:
         assert plane.deltas == result.windows
         assert plane.view(0).events_fired == result.events_fired
 
-    def test_worker_shards_stream_over_sideband(self):
+    def test_worker_shards_stream_on_the_step_reply(self):
         plane = ObservabilityPlane()
         result = run_topology(storm_spec(), shards=2, observability=plane)
         assert sorted(plane.shards) == [0, 1]
@@ -214,9 +214,9 @@ class TestLiveStreaming:
         assert len(announced) == len(result.telemetry.alerts)
 
 
-class TestSidebandLoss:
+class TestKilledShardKeepsPlaneLive:
     def test_killed_shard_does_not_wedge_the_plane(self):
-        """A shard dying mid-stream (sideband pipe cut) must leave the
+        """A shard dying mid-run (its replies stop) must leave the
         plane live, and recovery must keep the digest bitwise clean."""
         clean = run_digest(run_topology(storm_spec(), shards=2))
         plane = ObservabilityPlane()
@@ -237,6 +237,94 @@ class TestSidebandLoss:
         assert plane.view(1).window == result.windows
         assert result.sync.shards[0].restarts == 1
         assert result.sync.shards[0].replay_seconds > 0.0
+
+    def test_alert_parity_under_recovery(self):
+        """Killing a shard mid-partition must not change what the live
+        alert stream announces: exactly the merged post-run alerts,
+        minus the supervisor's own ``shard_restart`` records."""
+        spec = partition_storm_topology(segments=2, seed=0)
+        clean = run_digest(run_topology(spec, shards=2))
+        announced = []
+        plane = ObservabilityPlane(on_alert=announced.append)
+        result = run_topology(
+            spec,
+            shards=2,
+            recovery=RecoveryConfig(checkpoint_interval=2),
+            # ~window 150 is 0.3 s of sim time: inside the partition
+            hazards={0: {"die_at_window": 150}},
+            observability=plane,
+        )
+        assert result.recovered_shards == [0]
+        assert run_digest(result) == clean
+        world_alerts = [
+            alert
+            for alert in result.telemetry.alerts
+            if alert["rule"] != "shard_restart"
+        ]
+
+        def keys(alerts):
+            return sorted((a["rule"], a["host"], a["fired_at"]) for a in alerts)
+
+        assert keys(announced) == keys(world_alerts)
+        assert any(alert["rule"].startswith("partition:") for alert in announced)
+        revived = plane.view(0)
+        assert revived.restarts == 1
+        assert isinstance(revived.checkpoint_age, int)
+        assert 0 <= revived.checkpoint_age <= revived.window
+
+
+class TestProgressSource:
+    def test_delta_visits_only_new_or_open_spans(self):
+        """Folding span latencies must cost O(new + open spans) per
+        window, not a walk over every span the ledger ever held."""
+        shard = LocalShard(storm_spec(segments=1), [0], progress=True)
+        horizon = 0.0
+        while True:
+            _, _, next_time, _ = shard.step(horizon, [])
+            ledger = shard.runtimes["lan0"].world.ledger
+            if next_time is None or len(ledger.spans) > 200:
+                break
+            horizon += 2e-3
+        source = shard.progress
+        assert source.span_hist.count > 0
+
+        class CountingSpans(dict):
+            visits = 0
+
+            def __getitem__(self, key):
+                CountingSpans.visits += 1
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                CountingSpans.visits += 1
+                return super().get(key, default)
+
+            def values(self):
+                for value in super().values():
+                    CountingSpans.visits += 1
+                    yield value
+
+            def items(self):
+                for item in super().items():
+                    CountingSpans.visits += 1
+                    yield item
+
+            def __iter__(self):
+                for key in super().__iter__():
+                    CountingSpans.visits += 1
+                    yield key
+
+        folded = len(ledger.spans)
+        still_open = sum(1 for s in ledger.spans.values() if s.closed_at is None)
+        # Three spans begun since the last delta: one closed, two open.
+        for offset in range(3):
+            packet_id = ledger.begin_packet("probe", at=horizon)
+            assert packet_id == folded + offset + 1
+        ledger.close_packet(folded + 1, "delivered", at=horizon)
+        ledger.spans = CountingSpans(ledger.spans)
+        source.delta(next_time=None, egress_backlog=0)
+        assert CountingSpans.visits <= still_open + 3
+        assert source.span_hist.count > 0
 
 
 class TestSyncProfile:

@@ -124,6 +124,26 @@ class TestSingleProcess:
         cut = run_topology(ping_spec(2, frames=6), until=0.006)
         assert cut.events_fired < full.events_fired
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_until_stops_a_topology_without_bridges(self, shards):
+        def spec():
+            return TopologySpec(
+                segments=tuple(
+                    SegmentSpec(name, ping_builder, {"frames": 6})
+                    for name in ("lan0", "lan1")
+                ),
+                seed=1,
+            )
+
+        full = run_topology(spec(), shards=shards)
+        cut = run_topology(spec(), shards=shards, until=0.006)
+        assert cut.windows == full.windows == 1
+        assert cut.events_fired < full.events_fired
+        assert cut.now == pytest.approx(0.006)
+        assert run_digest(cut) == run_digest(
+            run_topology(spec(), shards=1, until=0.006)
+        )
+
     def test_host_names_disjoint_across_segments(self):
         result = run_topology(ping_spec(2))
         assert sorted(result.stats) == [
